@@ -6,7 +6,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test -q
+# Every crate's unit and integration tests, the facade's included.
+cargo test --workspace -q
+# The benchmark harness is a workspace of its own; run its unit tests too.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Observability smoke: a small traced flow must yield parseable
@@ -54,6 +57,13 @@ echo "explain differential: predicted stages == executed stages ok"
 # in-process and fail on byte drift or predicted-vs-executed mismatch.
 cargo run -q --release -p websift-bench --bin exp_analyze -- --quick --check > /dev/null
 echo "exp_analyze check: explain byte-stable and matches executor decisions ok"
+
+# POS decoder differential: the bound-pruned Viterbi must return exactly
+# the unpruned reference decoder's tags on random token sequences (for
+# two differently trained taggers) and on every sentence of generated
+# RelevantWeb/Medline/PMC documents. Cases pinned as below.
+PROPTEST_CASES=64 cargo test -q -p websift-text --lib pos::tests::pruned_decoder
+echo "pos differential: pruned Viterbi == reference decoder ok"
 
 # Partial-aggregation equivalence: the combining executor must be
 # byte-identical to the uncombined one on every deterministic surface.

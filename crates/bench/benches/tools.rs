@@ -30,6 +30,17 @@ fn sample_text(chars: usize) -> String {
     pool[..end].to_string()
 }
 
+/// `n` distinct lower-case words the POS model has never seen.
+fn unknown_words(n: usize) -> Vec<String> {
+    const SYLLABLES: [&str; 8] = ["zor", "qui", "vex", "pam", "lud", "kri", "bof", "yat"];
+    (0..n)
+        .map(|i| {
+            let (a, b, c) = (i % 8, i / 8 % 8, i / 64 % 8);
+            [SYLLABLES[a], SYLLABLES[b], SYLLABLES[c]].concat()
+        })
+        .collect()
+}
+
 fn bench_fig3(c: &mut Criterion) {
     let lexicon = Arc::new(Lexicon::generate(LexiconScale::tiny()));
     let resources = IeResources::standard(
@@ -68,6 +79,13 @@ fn bench_fig3(c: &mut Criterion) {
         let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
         group.bench_with_input(BenchmarkId::new("pos_hmm", chars), &chars, |b, _| {
             b.iter(|| black_box(pos.tag(black_box(&refs))))
+        });
+        // Worst case for the pruned decoder: as many tokens, all unknown
+        // lower-case words, so emissions barely separate the tags.
+        let unknown = unknown_words(refs.len());
+        let unknown: Vec<&str> = unknown.iter().map(String::as_str).collect();
+        group.bench_with_input(BenchmarkId::new("pos_hmm_unknown", chars), &chars, |b, _| {
+            b.iter(|| black_box(pos.tag(black_box(&unknown))))
         });
         let dict = &resources.dict[&EntityType::Gene];
         group.bench_with_input(BenchmarkId::new("ner_dict", chars), &chars, |b, _| {

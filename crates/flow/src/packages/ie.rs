@@ -17,7 +17,8 @@ use websift_analyze::lattice::FieldType;
 use websift_ner::{EntityType, Mention};
 use websift_text::regexlite::Regex;
 use websift_text::tokenize::tokenize;
-use websift_text::{PosTagger, SentenceSplitter};
+use websift_text::pos::TAG_COUNT;
+use websift_text::{PosTag, PosTagger, SentenceSplitter};
 
 /// Reads the `sentences` annotation back into spans; falls back to the
 /// whole text as one sentence when absent.
@@ -107,6 +108,10 @@ pub fn annotate_tokens() -> Operator {
 /// sentence. Over-long sentences fail cleanly and are counted in
 /// `pos_errors` (the original tool crashed; the flow must not).
 pub fn annotate_pos(tagger: Arc<PosTagger>) -> Operator {
+    // One shared string per tag, rendered once: a tagged token costs a
+    // refcount bump, not an allocation.
+    let tag_names: [Value; TAG_COUNT] =
+        std::array::from_fn(|i| Value::from(format!("{:?}", PosTag::from_index(i))));
     Operator::map("ie.annotate_pos", Package::Ie, move |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
         let mut errors = 0i64;
@@ -117,10 +122,10 @@ pub fn annotate_pos(tagger: Arc<PosTagger>) -> Operator {
             let strs: Vec<&str> = tokens.iter().map(|t| t.text(sent)).collect();
             match tagger.tag(&strs) {
                 Ok(tags) => {
-                    let tag_values: Vec<Value> = tags
-                        .into_iter()
-                        .map(|t| Value::from(format!("{t:?}")))
-                        .collect();
+                    // lint:hot_loop(begin): per-tag value loop
+                    let tag_values: Vec<Value> =
+                        tags.into_iter().map(|t| tag_names[t.index()].clone()).collect();
+                    // lint:hot_loop(end)
                     let mut obj = crate::record::FieldMap::with_capacity(2);
                     obj.insert(crate::record::intern("sentence"), Value::Int(si as i64));
                     obj.insert(crate::record::intern("tags"), Value::Array(tag_values));

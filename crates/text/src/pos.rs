@@ -96,6 +96,8 @@ impl std::error::Error for PosError {}
 const BOS: usize = TAG_COUNT; // boundary pseudo-tag for transition contexts
 const CONTEXTS: usize = TAG_COUNT + 1;
 const MAX_SUFFIX: usize = 4;
+/// Longest word the emission model lower-cases in a stack buffer.
+const ASCII_WORD_MAX: usize = 64;
 
 /// Interpolation weights for trigram/bigram/unigram transition estimates.
 const LAMBDA: (f64, f64, f64) = (0.6, 0.3, 0.1);
@@ -111,6 +113,10 @@ pub struct PosTagger {
     suffix: HashMap<String, [f64; TAG_COUNT]>,
     /// log P(t) priors.
     prior: [f64; TAG_COUNT],
+    /// Pruning bound `max_t2 (trans[p,t,t2] - trans[q,t,t2])`, indexed
+    /// `[(t * CONTEXTS + q) * CONTEXTS + p]`: how far the transitions out
+    /// of state `(p, t)` can beat those out of `(q, t)`.
+    gap: Vec<f64>,
     /// Token budget per sentence (the crash threshold).
     max_tokens: usize,
 }
@@ -204,11 +210,13 @@ impl PosTagger {
             })
             .collect();
 
+        let gap = transition_gaps(&trans);
         PosTagger {
             trans,
             emit,
             suffix,
             prior,
+            gap,
             max_tokens: 500,
         }
     }
@@ -231,23 +239,29 @@ impl PosTagger {
         TAGGER.get_or_init(|| PosTagger::train(&builtin_training_corpus()))
     }
 
-    /// Log emission scores for `word` over all tags.
+    /// Log emission scores for `word` over all tags. ASCII words up to
+    /// [`ASCII_WORD_MAX`] bytes are lower-cased on the stack and suffixes
+    /// are looked up by slice, so the common case does not allocate.
     fn emission(&self, word: &str) -> [f64; TAG_COUNT] {
-        let lower = word.to_lowercase();
-        if let Some(arr) = self.emit.get(&lower) {
+        let mut buf = [0u8; ASCII_WORD_MAX];
+        let owned: String;
+        let lower = match ascii_lowercase(word, &mut buf) {
+            Some(lower) => lower,
+            None => {
+                owned = word.to_lowercase();
+                &owned
+            }
+        };
+        if let Some(arr) = self.emit.get(lower) {
             return *arr;
         }
         // Unknown word: suffix model + orthographic cues, converted to an
-        // emission-like score by dividing out the tag prior.
-        let chars: Vec<char> = lower.chars().collect();
-        let mut best: Option<&[f64; TAG_COUNT]> = None;
-        for sl in (1..=MAX_SUFFIX.min(chars.len())).rev() {
-            let suf: String = chars[chars.len() - sl..].iter().collect();
-            if let Some(arr) = self.suffix.get(&suf) {
-                best = Some(arr);
-                break;
-            }
-        }
+        // emission-like score by dividing out the tag prior. The longest
+        // known suffix of up to MAX_SUFFIX characters wins.
+        let best = (1..=MAX_SUFFIX).rev().find_map(|chars| {
+            let (at, _) = lower.char_indices().nth_back(chars - 1)?;
+            self.suffix.get(&lower[at..])
+        });
         let mut scores: [f64; TAG_COUNT] = match best {
             Some(arr) => std::array::from_fn(|t| arr[t] - self.prior[t] - 8.0),
             None => [-10.0; TAG_COUNT],
@@ -276,6 +290,14 @@ impl PosTagger {
     /// Runtime is `O(n · T^3)` with `T = 14` tags — linear in sentence
     /// length. Sentences longer than the configured budget return
     /// [`PosError::SentenceTooLong`].
+    ///
+    /// The decoder is exact but skips predecessors that provably cannot
+    /// win: for each middle tag `t` it finds the best predecessor `p*` and
+    /// drops every `p` whose score, raised by the largest transition
+    /// advantage `gap[t][p*][p]` it could have over `p*`, still falls short
+    /// of `p*`'s by a rounding margin. Such a `p` loses strictly to `p*` in
+    /// every successor cell, so winners and tie-breaks are unchanged (see
+    /// DESIGN.md, "Exact pruned Viterbi").
     pub fn tag(&self, tokens: &[&str]) -> Result<Vec<PosTag>, PosError> {
         if tokens.is_empty() {
             return Err(PosError::EmptySentence);
@@ -290,42 +312,75 @@ impl PosTagger {
         // Viterbi over states (p1 context, t) where p1 ranges over CONTEXTS.
         // delta[p1][t] = best log-prob of a path ending with tags (p1, t).
         let neg = f64::NEG_INFINITY;
-        let mut delta = vec![[neg; TAG_COUNT]; CONTEXTS];
-        let mut backptr: Vec<Vec<[u8; TAG_COUNT]>> = Vec::with_capacity(n);
+        let mut delta = [[neg; TAG_COUNT]; CONTEXTS];
+        // Each step rewrites every row of `next` but BOS, which stays at
+        // -inf: no state has BOS as its previous tag after the first token.
+        let mut next = [[neg; TAG_COUNT]; CONTEXTS];
+        let mut backptr: Vec<[[u8; TAG_COUNT]; CONTEXTS]> = Vec::with_capacity(n);
 
         let e0 = self.emission(tokens[0]);
         for t in 0..TAG_COUNT {
             delta[BOS][t] = self.trans[(BOS * CONTEXTS + BOS) * TAG_COUNT + t] + e0[t];
         }
-        backptr.push(vec![[BOS as u8; TAG_COUNT]; CONTEXTS]);
+        backptr.push([[BOS as u8; TAG_COUNT]; CONTEXTS]);
 
-        for (i, token) in tokens.iter().enumerate().skip(1) {
+        // lint:hot_loop(begin): Viterbi step loop
+        for token in &tokens[1..] {
             let e = self.emission(token);
-            let mut next = vec![[neg; TAG_COUNT]; CONTEXTS];
-            let mut bp = vec![[0u8; TAG_COUNT]; CONTEXTS];
-            #[allow(clippy::needless_range_loop)] // p1 indexes delta, bp, and trans at once
-            for p1 in 0..CONTEXTS {
-                // p1 becomes the "previous" context; iterate possible p2.
+            let mut bp = [[0u8; TAG_COUNT]; CONTEXTS];
+            // State (p1, t) transitions to (t, t2), so each middle tag t is
+            // an independent max over p1. Its best p1 comes first, found
+            // column-wise so the fourteen running maxima do not wait on
+            // each other.
+            let mut tops = [0usize; TAG_COUNT];
+            let mut top_scores = delta[0];
+            for (p1, row) in delta.iter().enumerate().skip(1) {
                 for t in 0..TAG_COUNT {
-                    if delta[p1][t] == neg {
-                        continue;
-                    }
-                    // state (p1, t) transitions to (t, t2)
+                    let better = row[t] > top_scores[t];
+                    tops[t] = if better { p1 } else { tops[t] };
+                    top_scores[t] = if better { row[t] } else { top_scores[t] };
+                }
+            }
+            for t in 0..TAG_COUNT {
+                let top_score = top_scores[t];
+                if top_score == neg {
+                    next[t] = [neg; TAG_COUNT];
+                    continue;
+                }
+                // Survivors of the bound, as a bit set over p1; unreachable
+                // states fall out as -inf. The top always survives.
+                let cutoff = top_score - 1e-6 * (1.0 + top_score.abs());
+                let gap = &self.gap[(t * CONTEXTS + tops[t]) * CONTEXTS..][..CONTEXTS];
+                let mut keep = 0u32;
+                for (p1, prev) in delta.iter().enumerate() {
+                    keep |= u32::from(prev[t] + gap[p1] >= cutoff) << p1;
+                }
+                // Survivors in ascending p1 with a strict `>`, as in the
+                // unpruned loop. There the first one meets a row at -inf and
+                // always wins, so here it is stored outright; that also
+                // overwrites the row's scores from two steps back, and keeps
+                // the first pass free of compares.
+                let (row, bp_row) = (&mut next[t], &mut bp[t]);
+                let mut first = true;
+                while keep != 0 {
+                    let p1 = keep.trailing_zeros() as usize;
+                    keep &= keep - 1;
+                    let d = delta[p1][t];
+                    let trans = &self.trans[(p1 * CONTEXTS + t) * TAG_COUNT..][..TAG_COUNT];
                     for t2 in 0..TAG_COUNT {
-                        let score = delta[p1][t]
-                            + self.trans[(p1 * CONTEXTS + t) * TAG_COUNT + t2]
-                            + e[t2];
-                        if score > next[t][t2] {
-                            next[t][t2] = score;
-                            bp[t][t2] = p1 as u8;
+                        let score = d + trans[t2] + e[t2];
+                        if first || score > row[t2] {
+                            row[t2] = score;
+                            bp_row[t2] = p1 as u8;
                         }
                     }
+                    first = false;
                 }
             }
             delta = next;
             backptr.push(bp);
-            let _ = i;
         }
+        // lint:hot_loop(end)
 
         // Find best final state.
         let mut best = (0usize, 0usize, neg);
@@ -359,6 +414,39 @@ impl PosTagger {
         let tags = self.tag(&refs)?;
         Ok(tokens.into_iter().zip(tags).collect())
     }
+}
+
+/// Lower-cases an ASCII `word` of at most [`ASCII_WORD_MAX`] bytes into
+/// `buf`; `None` for anything else. For ASCII, `to_ascii_lowercase` equals
+/// `str::to_lowercase`.
+fn ascii_lowercase<'a>(word: &str, buf: &'a mut [u8; ASCII_WORD_MAX]) -> Option<&'a str> {
+    if !word.is_ascii() || word.len() > ASCII_WORD_MAX {
+        return None;
+    }
+    let lower = &mut buf[..word.len()];
+    lower.copy_from_slice(word.as_bytes());
+    lower.make_ascii_lowercase();
+    std::str::from_utf8(lower).ok()
+}
+
+/// The pruning table `gap[(t * CONTEXTS + q) * CONTEXTS + p] =
+/// max_t2 (trans[p,t,t2] - trans[q,t,t2])` for a transition table laid out
+/// as in [`PosTagger`].
+fn transition_gaps(trans: &[f64]) -> Vec<f64> {
+    let row = |p: usize, t: usize| &trans[(p * CONTEXTS + t) * TAG_COUNT..][..TAG_COUNT];
+    let mut gap = vec![0.0f64; TAG_COUNT * CONTEXTS * CONTEXTS];
+    for t in 0..TAG_COUNT {
+        for q in 0..CONTEXTS {
+            for p in 0..CONTEXTS {
+                gap[(t * CONTEXTS + q) * CONTEXTS + p] = row(p, t)
+                    .iter()
+                    .zip(row(q, t))
+                    .map(|(a, b)| a - b)
+                    .fold(f64::NEG_INFINITY, f64::max);
+            }
+        }
+    }
+    gap
 }
 
 /// Builds the embedded training corpus: abstract-style sentences assembled
@@ -466,6 +554,126 @@ pub fn builtin_training_corpus() -> Vec<Vec<(String, PosTag)>> {
 }
 
 #[cfg(test)]
+impl PosTagger {
+    /// Emission scores as computed before the ASCII fast path, kept
+    /// verbatim for the oracle.
+    fn emission_reference(&self, word: &str) -> [f64; TAG_COUNT] {
+        let lower = word.to_lowercase();
+        if let Some(arr) = self.emit.get(&lower) {
+            return *arr;
+        }
+        // Unknown word: suffix model + orthographic cues, converted to an
+        // emission-like score by dividing out the tag prior.
+        let chars: Vec<char> = lower.chars().collect();
+        let mut best: Option<&[f64; TAG_COUNT]> = None;
+        for sl in (1..=MAX_SUFFIX.min(chars.len())).rev() {
+            let suf: String = chars[chars.len() - sl..].iter().collect();
+            if let Some(arr) = self.suffix.get(&suf) {
+                best = Some(arr);
+                break;
+            }
+        }
+        let mut scores: [f64; TAG_COUNT] = match best {
+            Some(arr) => std::array::from_fn(|t| arr[t] - self.prior[t] - 8.0),
+            None => [-10.0; TAG_COUNT],
+        };
+        // Orthographic cues for the biomedical domain.
+        let first_upper = word.chars().next().map(char::is_uppercase).unwrap_or(false);
+        let has_digit = word.chars().any(|c| c.is_ascii_digit());
+        let all_upper = word.len() >= 2 && word.chars().all(|c| c.is_uppercase() || c.is_ascii_digit());
+        if all_upper || (first_upper && has_digit) {
+            // Gene-symbol-like strings behave as proper nouns.
+            scores[PosTag::ProperNoun.index()] += 4.0;
+        } else if first_upper {
+            scores[PosTag::ProperNoun.index()] += 1.5;
+        }
+        if has_digit && word.chars().all(|c| c.is_ascii_digit() || c == '.' || c == ',') {
+            scores[PosTag::Number.index()] += 8.0;
+        }
+        if word.len() == 1 && !word.chars().next().unwrap().is_alphanumeric() {
+            scores[PosTag::Punctuation.index()] += 8.0;
+        }
+        scores
+    }
+
+    /// Unpruned Viterbi over every `(p1, t, t2)`, visiting `p1` in
+    /// ascending order with a strict `>`: the oracle [`PosTagger::tag`]
+    /// must match tag for tag.
+    fn tag_reference(&self, tokens: &[&str]) -> Result<Vec<PosTag>, PosError> {
+        if tokens.is_empty() {
+            return Err(PosError::EmptySentence);
+        }
+        if tokens.len() > self.max_tokens {
+            return Err(PosError::SentenceTooLong {
+                tokens: tokens.len(),
+                limit: self.max_tokens,
+            });
+        }
+        let n = tokens.len();
+        // Viterbi over states (p1 context, t) where p1 ranges over CONTEXTS.
+        // delta[p1][t] = best log-prob of a path ending with tags (p1, t).
+        let neg = f64::NEG_INFINITY;
+        let mut delta = vec![[neg; TAG_COUNT]; CONTEXTS];
+        let mut backptr: Vec<Vec<[u8; TAG_COUNT]>> = Vec::with_capacity(n);
+
+        let e0 = self.emission_reference(tokens[0]);
+        for t in 0..TAG_COUNT {
+            delta[BOS][t] = self.trans[(BOS * CONTEXTS + BOS) * TAG_COUNT + t] + e0[t];
+        }
+        backptr.push(vec![[BOS as u8; TAG_COUNT]; CONTEXTS]);
+
+        for token in &tokens[1..] {
+            let e = self.emission_reference(token);
+            let mut next = vec![[neg; TAG_COUNT]; CONTEXTS];
+            let mut bp = vec![[0u8; TAG_COUNT]; CONTEXTS];
+            for (p1, row) in delta.iter().enumerate() {
+                // p1 becomes the "previous" context; iterate possible p2.
+                for t in 0..TAG_COUNT {
+                    if row[t] == neg {
+                        continue;
+                    }
+                    // state (p1, t) transitions to (t, t2)
+                    for t2 in 0..TAG_COUNT {
+                        let score = row[t]
+                            + self.trans[(p1 * CONTEXTS + t) * TAG_COUNT + t2]
+                            + e[t2];
+                        if score > next[t][t2] {
+                            next[t][t2] = score;
+                            bp[t][t2] = p1 as u8;
+                        }
+                    }
+                }
+            }
+            delta = next;
+            backptr.push(bp);
+        }
+
+        // Find best final state.
+        let mut best = (0usize, 0usize, neg);
+        for (p1, row) in delta.iter().enumerate() {
+            for (t, &score) in row.iter().enumerate() {
+                if score > best.2 {
+                    best = (p1, t, score);
+                }
+            }
+        }
+        // Backtrack.
+        let mut tags = vec![0usize; n];
+        let (mut p1, mut t) = (best.0, best.1);
+        tags[n - 1] = t;
+        for i in (1..n).rev() {
+            let prev = backptr[i][p1][t] as usize;
+            if p1 < TAG_COUNT {
+                tags[i - 1] = p1;
+            }
+            t = p1;
+            p1 = prev;
+        }
+        Ok(tags.into_iter().map(PosTag::from_index).collect())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -556,6 +764,195 @@ mod tests {
         }
         let acc = correct as f64 / total as f64;
         assert!(acc > 0.9, "training-set accuracy {acc}");
+    }
+
+    #[test]
+    fn gap_bounds_every_transition_difference() {
+        let tagger = PosTagger::pretrained();
+        let trans = |p: usize, t: usize, t2: usize| tagger.trans[(p * CONTEXTS + t) * TAG_COUNT + t2];
+        for t in 0..TAG_COUNT {
+            for q in 0..CONTEXTS {
+                for p in 0..CONTEXTS {
+                    let gap = tagger.gap[(t * CONTEXTS + q) * CONTEXTS + p];
+                    let diffs = (0..TAG_COUNT).map(|t2| trans(p, t, t2) - trans(q, t, t2));
+                    assert!(diffs.clone().all(|d| d <= gap));
+                    assert!(diffs.clone().any(|d| d == gap));
+                    if p == q {
+                        assert_eq!(gap, 0.0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Words the pretrained model has seen.
+    fn known_words() -> Vec<String> {
+        let mut words: Vec<String> = builtin_training_corpus()
+            .into_iter()
+            .flatten()
+            .map(|(w, _)| w)
+            .collect();
+        words.sort();
+        words.dedup();
+        words
+    }
+
+    /// Maps one random draw to a token of one of the classes the emission
+    /// model distinguishes: known words (as seen, upper-cased, mixed case),
+    /// unknown lower-case words, capitalised words, all-caps gene symbols,
+    /// numbers, punctuation, non-ASCII words, and words longer than the
+    /// ASCII fast path's buffer.
+    fn token_for(draw: u64, known: &[String]) -> String {
+        const LETTERS: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+        const NON_ASCII: &[&str] = &[
+            "Über", "α-synuclein", "naïve", "ÉTUDE", "straße", "İstanbul", "ǅemal", "Ωmega",
+            "β2", "中文", "é", "–", "φωσφοκινάση", "Maße",
+        ];
+        let class = draw % 10;
+        let mut x = draw / 10;
+        let mut next = |m: u64| {
+            let v = x % m;
+            x /= m;
+            v as usize
+        };
+        let word = |len: usize, next: &mut dyn FnMut(u64) -> usize| -> String {
+            (0..len).map(|_| LETTERS[next(26)] as char).collect()
+        };
+        match class {
+            0 | 1 => known[next(known.len() as u64)].clone(),
+            2 => known[next(known.len() as u64)].to_uppercase(),
+            3 => {
+                let w = known[next(known.len() as u64)].clone();
+                let flip = next(1 << 8);
+                w.chars()
+                    .enumerate()
+                    .map(|(i, c)| if flip >> (i % 8) & 1 == 1 { c.to_ascii_uppercase() } else { c })
+                    .collect()
+            }
+            4 => {
+                let len = 1 + next(12);
+                word(len, &mut next)
+            }
+            5 => {
+                let len = 1 + next(10);
+                let w = word(len, &mut next);
+                w[..1].to_uppercase() + &w[1..]
+            }
+            6 => {
+                let len = 2 + next(4);
+                let sym = word(len, &mut next).to_uppercase();
+                match next(3) {
+                    0 => sym,
+                    1 => format!("{sym}{}", next(100)),
+                    _ => format!("{}{sym}", next(10)),
+                }
+            }
+            7 => match next(4) {
+                0 => format!("{}", next(100_000)),
+                1 => format!("{}.{}", next(1000), next(100)),
+                2 => format!("{},{:03}", 1 + next(999), next(1000)),
+                _ => [".", ",", ";", ":", "(", ")", "[", "]", "-", "/", "%", "+"][next(12)]
+                    .to_string(),
+            },
+            8 => NON_ASCII[next(NON_ASCII.len() as u64)].to_string(),
+            _ => {
+                let len = 60 + next(40);
+                let w = word(len, &mut next);
+                match next(3) {
+                    0 => w,
+                    1 => w.to_uppercase(),
+                    _ => w[..1].to_uppercase() + &w[1..] + "ß",
+                }
+            }
+        }
+    }
+
+    fn assert_matches_reference(tagger: &PosTagger, draws: &[u64], known: &[String]) {
+        let owned: Vec<String> = draws.iter().map(|&d| token_for(d, known)).collect();
+        let tokens: Vec<&str> = owned.iter().map(String::as_str).collect();
+        assert_eq!(tagger.tag(&tokens), tagger.tag_reference(&tokens), "tokens = {tokens:?}");
+    }
+
+    /// A tagger trained on a few sentences plus one of non-ASCII words:
+    /// sparse counts, so many words are unknown, the transition table (and
+    /// its gap table) differs sharply from the pretrained one, and the
+    /// suffix table holds multi-byte suffixes.
+    fn truncated_tagger() -> &'static PosTagger {
+        static TAGGER: OnceLock<PosTagger> = OnceLock::new();
+        TAGGER.get_or_init(|| {
+            let mut corpus = builtin_training_corpus()[..6].to_vec();
+            corpus.push(
+                [
+                    ("Über", PosTag::Preposition),
+                    ("naïve", PosTag::Adjective),
+                    ("κινάση", PosTag::Noun),
+                    ("ίση", PosTag::Adjective),
+                    ("straße", PosTag::Noun),
+                    (".", PosTag::Punctuation),
+                ]
+                .map(|(w, t)| (w.to_string(), t))
+                .to_vec(),
+            );
+            PosTagger::train(&corpus)
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn pruned_decoder_matches_reference_pretrained(
+            draws in prop::collection::vec(0u64..u64::MAX, 1..PosTagger::pretrained().max_tokens() + 1),
+        ) {
+            assert_matches_reference(PosTagger::pretrained(), &draws, &known_words());
+        }
+
+        #[test]
+        fn pruned_decoder_matches_reference_truncated(
+            draws in prop::collection::vec(0u64..u64::MAX, 1..truncated_tagger().max_tokens() + 1),
+        ) {
+            assert_matches_reference(truncated_tagger(), &draws, &known_words());
+        }
+    }
+
+    #[test]
+    fn emission_matches_reference_on_edge_words() {
+        let long = "x".repeat(ASCII_WORD_MAX);
+        let longer = "X".repeat(ASCII_WORD_MAX + 1);
+        let words = [
+            "", "a", "A", "THE", "The", "ally", "Dramatically", "ß", "İ", "Über", "α-synuclein",
+            "φωσφοκινάση", "Maße", long.as_str(), longer.as_str(),
+        ];
+        for tagger in [PosTagger::pretrained(), truncated_tagger()] {
+            for word in words {
+                assert_eq!(tagger.emission(word), tagger.emission_reference(word), "{word:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_decoder_matches_reference_on_generated_corpora() {
+        use websift_corpus::{CorpusKind, Generator};
+        let tagger = PosTagger::pretrained();
+        let splitter = crate::SentenceSplitter::new();
+        let mut sentences = 0;
+        for kind in [CorpusKind::RelevantWeb, CorpusKind::Medline, CorpusKind::Pmc] {
+            for doc in Generator::new(kind, 7).documents(8) {
+                for text in [doc.body.as_str(), doc.raw_text()] {
+                    for s in splitter.split(text) {
+                        let sent = &text[s.start..s.end];
+                        let tokens: Vec<&str> =
+                            crate::tokenize(sent).iter().map(|t| t.text(sent)).collect();
+                        if tokens.is_empty() {
+                            continue;
+                        }
+                        assert_eq!(tagger.tag(&tokens), tagger.tag_reference(&tokens), "{sent:?}");
+                        sentences += 1;
+                    }
+                }
+            }
+        }
+        assert!(sentences > 100, "swept only {sentences} sentences");
     }
 
     #[test]
