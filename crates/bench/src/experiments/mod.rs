@@ -19,7 +19,7 @@
 //! | [`content_exps::table4`] | Table 4 (+ TLA filtering) |
 //! | [`content_exps::fig8`] | Fig. 8 (annotation overlap, JSD) |
 //! | [`profile_exps::cost_decomposition`] | Fig. 8 cost split (startup vs per-record, live from the profiler) |
-//! | [`throughput_exps::throughput`] | wall-clock records/sec of the fused vs unfused vs pre-fusion executor |
+//! | [`throughput_exps::throughput`] | wall-clock records/sec of the fused vs unfused executor |
 //! | [`shuffle_exps::shuffle_at`] | scale-out records/sec across worker-shard counts (threads and real processes), digest-gated |
 //! | [`serve_exps::serve`] | serving-layer QPS + latency under admission-controlled concurrent clients |
 //! | [`live_exps::live`] | incremental delta pass vs batch full recompute, per crawl round and DoP |

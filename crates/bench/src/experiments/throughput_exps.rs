@@ -3,20 +3,14 @@
 //!
 //! Drives the Fig-4/5 linguistic pipeline over a generated relevant-web
 //! corpus and measures **real** records/second at DoP {1, 4, 8, 16} for
-//! three engines:
+//! two engines:
 //!
 //! - `fused` — the current executor, operator fusion on (default);
 //! - `unfused` — the same executor with `fusion: false`: one physical
-//!   pass per plan node, but still ownership-passing;
-//! - `baseline` — an emulation of the pre-fusion system's per-record
-//!   costs: every operator deep-clones its input records (the old
-//!   clone-out-of-the-buffer dataflow, re-allocating string contents the
-//!   way `String` fields did), walks `approx_bytes` over both input
-//!   and output (the old two-traversal byte accounting), and re-makes
-//!   the per-record full-text copy the seed UDFs opened with.
+//!   pass per plan node, but still ownership-passing.
 //!
-//! Simulated seconds are pure accounting and identical across all three
-//! by construction; this module is about the wall clock, which is why it
+//! Simulated seconds are pure accounting and identical across both by
+//! construction; this module is about the wall clock, which is why it
 //! is on the lint's wall-clock allowlist.
 
 use std::collections::HashMap;
@@ -24,9 +18,7 @@ use std::time::Instant;
 
 use crate::report::ExperimentResult;
 use websift_corpus::{CorpusKind, Generator};
-use websift_flow::{
-    ExecutionConfig, Executor, LogicalPlan, NodeOp, OpFunc, Operator, Record, Value,
-};
+use websift_flow::{ExecutionConfig, Executor, LogicalPlan, NodeOp, Record};
 use websift_observe::json::{array, ObjectWriter};
 use websift_pipeline::documents_to_records;
 
@@ -49,148 +41,13 @@ pub struct ThroughputPoint {
 }
 
 /// The full harness outcome: the rendered table plus the raw points and
-/// the two acceptance ratios at [`ACCEPTANCE_DOP`].
+/// the fused/unfused acceptance ratio at [`ACCEPTANCE_DOP`].
 #[derive(Debug)]
 pub struct ThroughputReport {
     pub result: ExperimentResult,
     pub points: Vec<ThroughputPoint>,
     pub docs: usize,
     pub fused_vs_unfused: f64,
-    pub fused_vs_baseline: f64,
-}
-
-/// Deep clone re-allocating every string payload — what cloning a record
-/// cost before `Value::Str` became `Arc<str>`.
-fn deep_clone_value(v: &Value) -> Value {
-    match v {
-        Value::Str(s) => Value::Str(std::sync::Arc::from(&**s)),
-        Value::Array(a) => Value::Array(a.iter().map(deep_clone_value).collect()),
-        Value::Object(o) => Value::Object(
-            o.iter().map(|(k, v)| (k.clone(), deep_clone_value(v))).collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
-fn deep_clone(r: &Record) -> Record {
-    Record(r.0.iter().map(|(k, v)| (k.clone(), deep_clone_value(v))).collect())
-}
-
-/// Operators whose seed-version UDF body opened with
-/// `r.text().unwrap_or("").to_string()` — a full copy of the document
-/// text per record, made so the UDF could keep reading the text while
-/// mutating the record — before this PR switched them to the shared
-/// `Record::text_shared()` handle. The baseline charges that copy back.
-fn seed_udf_copied_text(name: &str) -> bool {
-    matches!(
-        name,
-        "ie.annotate_sentences"
-            | "ie.annotate_tokens"
-            | "ie.annotate_pos"
-            | "ie.annotate_negation"
-            | "ie.annotate_pronouns"
-            | "ie.annotate_parentheses"
-            | "wa.repair_markup"
-            | "wa.remove_markup"
-            | "wa.extract_net_text"
-            | "wa.extract_links"
-    ) || name.starts_with("ie.annotate_entities_")
-}
-
-/// Wraps one operator with the pre-fusion system's per-record physical
-/// overhead, leaving name, kind, cost model, and annotations untouched so
-/// scheduling and simulated accounting are identical.
-///
-/// The seed executor (a) walked `Record::approx_bytes` over every input
-/// and every output record — and that method cloned the whole record
-/// (then `String`-payloaded) into a `Value::Object` per call — and
-/// (b) cloned each record out of the shared input slice into the UDF.
-/// `deep_clone(..).approx_bytes()` reproduces (a); `f(deep_clone(&r))`
-/// reproduces (b). On top of that, the seed *UDFs* in
-/// [`seed_udf_copied_text`] copied the document text once per record;
-/// (c) charges that copy back.
-fn wrap_pre_fusion(op: &Operator) -> Operator {
-    let old_bytes_walk = |r: &Record| {
-        std::hint::black_box(deep_clone(r).approx_bytes());
-    };
-    let text_copy = seed_udf_copied_text(&op.name);
-    let old_udf_prologue = move |r: &Record| {
-        if text_copy {
-            std::hint::black_box(r.text().map(str::to_string));
-        }
-    };
-    let mut wrapped = match op.func().clone() {
-        OpFunc::Map(f) => Operator::map(&op.name, op.package, move |r| {
-            old_bytes_walk(&r);
-            old_udf_prologue(&r);
-            let out = f(deep_clone(&r));
-            old_bytes_walk(&out);
-            out
-        }),
-        OpFunc::FlatMap(f) => Operator::flat_map(&op.name, op.package, move |r| {
-            old_bytes_walk(&r);
-            old_udf_prologue(&r);
-            let out = f(deep_clone(&r));
-            for r in &out {
-                old_bytes_walk(r);
-            }
-            out
-        }),
-        OpFunc::Filter(f) => Operator::filter(&op.name, op.package, move |r| {
-            old_bytes_walk(r);
-            let keep = f(r);
-            if keep {
-                // the old loop pushed `r.clone()` into the output, then
-                // walked the clone again in the bytes_out pass
-                let kept = deep_clone(r);
-                old_bytes_walk(&kept);
-            }
-            keep
-        }),
-        OpFunc::Reduce { key, aggregate } => Operator::reduce(
-            &op.name,
-            op.package,
-            move |r| key(r),
-            move |k, group| {
-                let group: Vec<Record> = group
-                    .iter()
-                    .map(|r| {
-                        std::hint::black_box(deep_clone(r).approx_bytes());
-                        deep_clone(r)
-                    })
-                    .collect();
-                let out = aggregate.apply_group(k, group);
-                for r in &out {
-                    std::hint::black_box(deep_clone(r).approx_bytes());
-                }
-                out
-            },
-        ),
-    };
-    wrapped.reads = op.reads.clone();
-    wrapped.writes = op.writes.clone();
-    wrapped.cost = op.cost;
-    wrapped.library = op.library.clone();
-    wrapped
-}
-
-/// Rebuilds `plan` with every operator passed through `wrap`, preserving
-/// node ids and edges (the flows here are single-input DAGs).
-fn rebuild_with(plan: &LogicalPlan, wrap: impl Fn(&Operator) -> Operator) -> LogicalPlan {
-    let mut out = LogicalPlan::new();
-    for node in plan.nodes() {
-        let id = match &node.op {
-            NodeOp::Source(name) => out.source(name),
-            NodeOp::Op(op) => out
-                .add(node.input.expect("op has input"), wrap(op))
-                .expect("same plan shape"),
-            NodeOp::Sink(name) => out
-                .sink(node.input.expect("sink has input"), name)
-                .expect("same plan shape"),
-        };
-        assert_eq!(id, node.id, "rebuild must preserve node ids");
-    }
-    out
 }
 
 fn throughput_corpus(docs: usize) -> Vec<Record> {
@@ -226,16 +83,13 @@ const REPS: usize = 3;
 /// without inflating the whole sweep.
 const EXTRA_ACCEPT_ROUNDS: usize = 2;
 
-/// Fused speedup over the engine at `other` (0 = baseline, 1 = unfused),
-/// as the median over rounds of the within-round wall-time ratio. Each
-/// round's three runs are adjacent in time, so a round-scale load spike
-/// inflates numerator and denominator together instead of one cell.
-fn median_paired_ratio(rounds: &[[f64; 3]], other: usize) -> f64 {
-    let mut ratios: Vec<f64> = rounds
-        .iter()
-        .filter(|r| r[2] > 0.0)
-        .map(|r| r[other] / r[2])
-        .collect();
+/// Speedup of the second engine of each round over the first, as the
+/// median over rounds of the within-round wall-time ratio. Each round's
+/// runs are adjacent in time, so a round-scale load spike inflates
+/// numerator and denominator together instead of one cell.
+fn median_paired_ratio(rounds: &[[f64; 2]]) -> f64 {
+    let mut ratios: Vec<f64> =
+        rounds.iter().filter(|r| r[1] > 0.0).map(|r| r[0] / r[1]).collect();
     if ratios.is_empty() {
         return 0.0;
     }
@@ -253,28 +107,23 @@ pub fn throughput(docs: usize) -> ThroughputReport {
 /// runs use a shorter one).
 pub fn throughput_at(docs: usize, dops: &[usize]) -> ThroughputReport {
     let plan = websift_pipeline::linguistic_flow("docs");
-    let baseline_plan = rebuild_with(&plan, wrap_pre_fusion);
     let records = throughput_corpus(docs);
 
     let mut result = ExperimentResult::new(
         "Throughput",
         "Wall-clock records/sec, linguistic pipeline (interleaved best of 3)",
-        &["DoP", "baseline rec/s", "unfused rec/s", "fused rec/s", "fused/baseline", "fused/unfused"],
+        &["DoP", "unfused rec/s", "fused rec/s", "fused/unfused"],
     );
 
-    let engines: [(&'static str, &LogicalPlan, bool); 3] = [
-        ("baseline", &baseline_plan, false),
-        ("unfused", &plan, false),
-        ("fused", &plan, true),
-    ];
+    let engines: [(&'static str, bool); 2] = [("unfused", false), ("fused", true)];
 
     // Warm-up: one untimed run per engine populates lazy resources and
     // the page cache before anything is measured.
-    for (_, plan, fusion) in &engines {
-        time_run(plan, &records, dops.first().copied().unwrap_or(1), *fusion);
+    for (_, fusion) in engines {
+        time_run(&plan, &records, dops.first().copied().unwrap_or(1), fusion);
     }
 
-    // Quote the acceptance ratios at DoP 8 when measured, else at the
+    // Quote the acceptance ratio at DoP 8 when measured, else at the
     // largest DoP in the sweep (short --quick sweeps).
     let accept_dop = if dops.contains(&ACCEPTANCE_DOP) {
         ACCEPTANCE_DOP
@@ -283,22 +132,22 @@ pub fn throughput_at(docs: usize, dops: &[usize]) -> ThroughputReport {
     };
 
     let mut points = Vec::new();
-    let mut accept_rounds: Vec<[f64; 3]> = Vec::new();
+    let mut accept_rounds: Vec<[f64; 2]> = Vec::new();
     for &dop in dops {
-        let mut best = [f64::MAX; 3];
+        let mut best = [f64::MAX; 2];
         let reps = REPS + if dop == accept_dop { EXTRA_ACCEPT_ROUNDS } else { 0 };
         for _ in 0..reps {
-            let mut round = [0.0f64; 3];
-            for (i, (_, plan, fusion)) in engines.iter().enumerate() {
-                round[i] = time_run(plan, &records, dop, *fusion);
+            let mut round = [0.0f64; 2];
+            for (i, (_, fusion)) in engines.into_iter().enumerate() {
+                round[i] = time_run(&plan, &records, dop, fusion);
                 best[i] = best[i].min(round[i]);
             }
             if dop == accept_dop {
                 accept_rounds.push(round);
             }
         }
-        let mut rps = [0.0f64; 3];
-        for (i, (mode, _, _)) in engines.iter().enumerate() {
+        let mut rps = [0.0f64; 2];
+        for (i, (mode, _)) in engines.into_iter().enumerate() {
             rps[i] = if best[i] > 0.0 { records.len() as f64 / best[i] } else { 0.0 };
             points.push(ThroughputPoint {
                 mode,
@@ -308,155 +157,28 @@ pub fn throughput_at(docs: usize, dops: &[usize]) -> ThroughputReport {
                 records_per_sec: rps[i],
             });
         }
-        let [base, unfused, fused] = rps;
+        let [unfused, fused] = rps;
         result.row(&[
             dop.to_string(),
-            format!("{base:.0}"),
             format!("{unfused:.0}"),
             format!("{fused:.0}"),
-            format!("{:.2}x", if base > 0.0 { fused / base } else { 0.0 }),
             format!("{:.2}x", if unfused > 0.0 { fused / unfused } else { 0.0 }),
         ]);
     }
 
-    // The acceptance ratios pair runs from the same interleaved round —
+    // The acceptance ratio pairs runs from the same interleaved round —
     // adjacent in time, so ambient-load drift on a shared box multiplies
-    // both sides of the ratio and cancels — and take the median round.
-    let fused_vs_unfused = median_paired_ratio(&accept_rounds, 1);
-    let fused_vs_baseline = median_paired_ratio(&accept_rounds, 0);
+    // both sides of the ratio and cancels — and takes the median round.
+    let fused_vs_unfused = median_paired_ratio(&accept_rounds);
     result.note(format!(
         "{docs} source records; rec/s = source records / best-of-{REPS} wall seconds \
-         (interleaved across modes); \
-         baseline emulates the pre-fusion system (per-operator deep clones + \
-         double approx_bytes traversals + the seed UDFs' full-text copies); \
-         acceptance ratios are medians of \
+         (interleaved across modes); the acceptance ratio is the median of \
          per-round paired ratios over {} rounds; at DoP {accept_dop} fused is \
-         {fused_vs_baseline:.2}x baseline (target >= 2x) and {fused_vs_unfused:.2}x unfused",
+         {fused_vs_unfused:.2}x unfused",
         REPS + EXTRA_ACCEPT_ROUNDS
     ));
 
-    ThroughputReport { result, points, docs, fused_vs_unfused, fused_vs_baseline }
-}
-
-/// The batch-size grid the batched-execution sweep measures, in records
-/// per physical batch. 256 is the executor's default
-/// (`websift_flow::DEFAULT_BATCH_SIZE`); 1 is record-at-a-time.
-pub const BATCH_GRID: [usize; 4] = [1, 64, 256, 1024];
-
-/// One measured (batch_size, DoP) cell of the batched-execution sweep.
-/// Batch size is physical only — every cell computes byte-identical
-/// output — so the cells differ exclusively in dispatch amortization and
-/// working-set size.
-#[derive(Debug, Clone)]
-pub struct BatchPoint {
-    pub batch_size: usize,
-    pub dop: usize,
-    pub records: usize,
-    pub wall_secs: f64,
-    pub records_per_sec: f64,
-}
-
-/// Outcome of the batch-size sweep over the fused linguistic pipeline.
-#[derive(Debug)]
-pub struct BatchGridReport {
-    pub result: ExperimentResult,
-    pub points: Vec<BatchPoint>,
-    pub docs: usize,
-    /// Default-batch speedup over record-at-a-time (batch 1) at DoP 1 —
-    /// the "batched dispatch must not lose" gate, with no parallelism to
-    /// hide per-batch overhead. Median of per-round paired wall ratios.
-    pub batched_vs_record_at_dop1: f64,
-}
-
-/// One timed fused run at an explicit batch size; returns wall seconds.
-fn time_batched_run(plan: &LogicalPlan, records: &[Record], dop: usize, batch: usize) -> f64 {
-    let config = ExecutionConfig { batch_size: Some(batch), ..ExecutionConfig::local(dop) };
-    let exec = Executor::new(config);
-    let mut inputs = HashMap::new();
-    inputs.insert("docs".to_string(), records.to_vec());
-    // lint:allow(wall_clock): the throughput harness measures real execution wall time
-    let t = Instant::now();
-    let out = exec.run(plan, inputs).expect("batched throughput flow");
-    let secs = t.elapsed().as_secs_f64();
-    std::hint::black_box(out.sinks.values().map(Vec::len).sum::<usize>());
-    secs
-}
-
-/// Runs the batch-size grid at the given DoPs (typically {1, 8}: the
-/// no-parallelism cell that decides the check gate plus the acceptance
-/// DoP). Rounds interleave the whole grid so ambient drift hits every
-/// batch size equally.
-pub fn batch_grid_at(docs: usize, dops: &[usize]) -> BatchGridReport {
-    let plan = websift_pipeline::linguistic_flow("docs");
-    let records = throughput_corpus(docs);
-    let default_at = BATCH_GRID
-        .iter()
-        .position(|&b| b == websift_flow::DEFAULT_BATCH_SIZE)
-        .expect("grid includes the default batch size");
-
-    let mut result = ExperimentResult::new(
-        "Batch grid",
-        "Wall-clock records/sec by physical batch size, fused linguistic pipeline",
-        &["DoP", "b=1 rec/s", "b=64 rec/s", "b=256 rec/s", "b=1024 rec/s", "b256/b1"],
-    );
-
-    // Warm-up pass before anything is measured.
-    time_batched_run(&plan, &records, dops.first().copied().unwrap_or(1), BATCH_GRID[0]);
-
-    let mut points = Vec::new();
-    let mut dop1_rounds: Vec<[f64; BATCH_GRID.len()]> = Vec::new();
-    for &dop in dops {
-        let mut best = [f64::MAX; BATCH_GRID.len()];
-        let reps = REPS + if dop == 1 { EXTRA_ACCEPT_ROUNDS } else { 0 };
-        for _ in 0..reps {
-            let mut round = [0.0f64; BATCH_GRID.len()];
-            for (i, &batch) in BATCH_GRID.iter().enumerate() {
-                round[i] = time_batched_run(&plan, &records, dop, batch);
-                best[i] = best[i].min(round[i]);
-            }
-            if dop == 1 {
-                dop1_rounds.push(round);
-            }
-        }
-        let mut rps = [0.0f64; BATCH_GRID.len()];
-        for (i, &batch) in BATCH_GRID.iter().enumerate() {
-            rps[i] = if best[i] > 0.0 { records.len() as f64 / best[i] } else { 0.0 };
-            points.push(BatchPoint {
-                batch_size: batch,
-                dop,
-                records: records.len(),
-                wall_secs: best[i],
-                records_per_sec: rps[i],
-            });
-        }
-        result.row(&[
-            dop.to_string(),
-            format!("{:.0}", rps[0]),
-            format!("{:.0}", rps[1]),
-            format!("{:.0}", rps[2]),
-            format!("{:.0}", rps[3]),
-            format!("{:.2}x", if rps[0] > 0.0 { rps[default_at] / rps[0] } else { 0.0 }),
-        ]);
-    }
-
-    // Paired within-round ratio (batch-1 wall / default-batch wall) so
-    // ambient load cancels, median over the widened DoP-1 rounds.
-    let mut ratios: Vec<f64> = dop1_rounds
-        .iter()
-        .filter(|r| r[default_at] > 0.0)
-        .map(|r| r[0] / r[default_at])
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    let batched_vs_record_at_dop1 =
-        if ratios.is_empty() { 0.0 } else { ratios[ratios.len() / 2] };
-    result.note(format!(
-        "{docs} source records; batch size is physical only (output bytes identical \
-         across the grid); at DoP 1 the default batch ({}) is \
-         {batched_vs_record_at_dop1:.2}x record-at-a-time",
-        websift_flow::DEFAULT_BATCH_SIZE
-    ));
-
-    BatchGridReport { result, points, docs, batched_vs_record_at_dop1 }
+    ThroughputReport { result, points, docs, fused_vs_unfused }
 }
 
 /// One measured (mode, DoP) cell of the partial-aggregation sweep.
@@ -528,18 +250,6 @@ fn time_combining_run(
     (secs, out.physical.shuffle_bytes)
 }
 
-/// Median over rounds of the within-round uncombined/combined wall-time
-/// ratio (the pairwise analogue of [`median_paired_ratio`]).
-fn median_paired_ratio2(rounds: &[[f64; 2]]) -> f64 {
-    let mut ratios: Vec<f64> =
-        rounds.iter().filter(|r| r[1] > 0.0).map(|r| r[0] / r[1]).collect();
-    if ratios.is_empty() {
-        return 0.0;
-    }
-    ratios.sort_by(f64::total_cmp);
-    ratios[ratios.len() / 2]
-}
-
 /// Runs the combining sweep at the standard DoPs.
 pub fn combining(docs: usize) -> CombiningReport {
     combining_at(docs, &THROUGHPUT_DOPS)
@@ -601,7 +311,7 @@ pub fn combining_at(docs: usize, dops: &[usize]) -> CombiningReport {
             }
             rounds.push(round);
         }
-        let ratio = median_paired_ratio2(&rounds);
+        let ratio = median_paired_ratio(&rounds);
         ratios.push((dop, ratio));
         if dop == accept_dop {
             accept_shuffle = shuffle;
@@ -680,11 +390,7 @@ pub fn per_op_breakdown(docs: usize) -> Vec<(String, f64, usize)> {
 /// measured DoP grid are stamped in so a reader can tell whether a sweep
 /// measured parallel scaling or (on a single-core box) only overhead
 /// elimination.
-pub fn throughput_json(
-    report: &ThroughputReport,
-    combining: &CombiningReport,
-    batches: &BatchGridReport,
-) -> String {
+pub fn throughput_json(report: &ThroughputReport, combining: &CombiningReport) -> String {
     let points = array(report.points.iter().map(|p| {
         ObjectWriter::new()
             .str("mode", p.mode)
@@ -704,15 +410,6 @@ pub fn throughput_json(
             .u64("shuffle_bytes", p.shuffle_bytes)
             .finish()
     }));
-    let batch_points = array(batches.points.iter().map(|p| {
-        ObjectWriter::new()
-            .u64("batch_size", p.batch_size as u64)
-            .u64("dop", p.dop as u64)
-            .u64("records", p.records as u64)
-            .f64("wall_secs", p.wall_secs)
-            .f64("records_per_sec", p.records_per_sec)
-            .finish()
-    }));
     let mut dops: Vec<u64> = report.points.iter().map(|p| p.dop as u64).collect();
     dops.sort_unstable();
     dops.dedup();
@@ -724,17 +421,12 @@ pub fn throughput_json(
         .raw("dops", &array(dops.iter().map(|d| d.to_string())))
         .u64("acceptance_dop", ACCEPTANCE_DOP as u64)
         .f64("fused_vs_unfused", report.fused_vs_unfused)
-        .f64("fused_vs_baseline", report.fused_vs_baseline)
         .f64("combined_vs_uncombined", combining.combined_vs_uncombined)
         .u64("shuffle_bytes_uncombined", combining.shuffle_bytes_uncombined)
         .u64("shuffle_bytes_combined", combining.shuffle_bytes_combined)
         .f64("shuffle_reduction", combining.shuffle_reduction())
-        .raw("batch_sizes", &array(BATCH_GRID.iter().map(|b| b.to_string())))
-        .u64("default_batch_size", websift_flow::DEFAULT_BATCH_SIZE as u64)
-        .f64("batched_vs_record_dop1", batches.batched_vs_record_at_dop1)
         .raw("points", &points)
         .raw("combining_points", &combining_points)
-        .raw("batch_points", &batch_points)
         .finish()
 }
 
@@ -743,64 +435,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn baseline_rebuild_preserves_results() {
-        // The wrapped plan must compute exactly what the original does —
-        // the wrapper only burns the old physical overhead.
-        let plan = websift_pipeline::linguistic_flow("docs");
-        let baseline = rebuild_with(&plan, wrap_pre_fusion);
-        let records = throughput_corpus(12);
-        let run = |p: &LogicalPlan| {
-            let mut inputs = HashMap::new();
-            inputs.insert("docs".to_string(), records.clone());
-            Executor::new(ExecutionConfig::local(4)).run(p, inputs).unwrap()
-        };
-        let a = run(&plan);
-        let b = run(&baseline);
-        assert_eq!(a.sinks, b.sinks);
-        assert_eq!(
-            a.metrics.simulated_secs.to_bits(),
-            b.metrics.simulated_secs.to_bits(),
-            "emulation must not disturb simulated accounting"
-        );
-    }
-
-    #[test]
-    fn deep_clone_reallocates_strings() {
-        let mut r = Record::new();
-        r.set("text", "some body");
-        let c = deep_clone(&r);
-        match (r.get("text").unwrap(), c.get("text").unwrap()) {
-            (Value::Str(a), Value::Str(b)) => {
-                assert_eq!(a, b);
-                assert!(!std::sync::Arc::ptr_eq(a, b), "baseline clone must reallocate");
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
     fn throughput_smoke_produces_all_cells() {
         let report = throughput_at(6, &[1, 4]);
-        assert_eq!(report.points.len(), 3 * 2);
+        assert_eq!(report.points.len(), 2 * 2);
         assert!(report.points.iter().all(|p| p.records_per_sec > 0.0));
         let combining = combining_at(6, &[1, 4]);
         assert_eq!(combining.points.len(), 2 * 2);
         assert!(combining.points.iter().all(|p| p.records_per_sec > 0.0));
-        let batches = batch_grid_at(6, &[1]);
-        assert_eq!(batches.points.len(), BATCH_GRID.len());
-        assert!(batches.points.iter().all(|p| p.records_per_sec > 0.0));
-        let json = throughput_json(&report, &combining, &batches);
-        assert!(json.contains("\"fused_vs_baseline\""));
+        let json = throughput_json(&report, &combining);
+        assert!(json.contains("\"fused_vs_unfused\""));
         assert!(json.contains("\"host_logical_cores\""));
         assert!(json.contains("\"dops\":[1,4]"));
         assert!(json.contains("\"mode\":\"fused\""));
         assert!(json.contains("\"combined_vs_uncombined\""));
         assert!(json.contains("\"shuffle_reduction\""));
         assert!(json.contains("\"mode\":\"combined\""));
-        assert!(json.contains("\"batch_sizes\":[1,64,256,1024]"));
-        assert!(json.contains("\"default_batch_size\":256"));
-        assert!(json.contains("\"batched_vs_record_dop1\""));
-        assert!(json.contains("\"batch_size\":1024"));
     }
 
     #[test]

@@ -30,7 +30,6 @@
 //! reproduces an uninterrupted run bit-for-bit (wall-clock fields aside).
 
 use crate::analyze::{analyze_plan, AnalyzeOptions};
-use crate::batch::{BatchArena, RecordBatch};
 use crate::cluster::{admit_sharded, ClusterSpec, SchedulingError};
 use crate::logical::{parse_store_sink, LogicalPlan, NodeOp, STORE_SINK_PREFIX};
 use websift_analyze::{Diagnostic, Severity};
@@ -111,18 +110,6 @@ pub struct ExecutionConfig {
     /// worker count must never leak into simulated numbers (see
     /// `worker_count_never_affects_deterministic_outputs`).
     pub max_workers: usize,
-    /// Physical batch size for fused stages: each simulated partition's
-    /// records run through the stage chain in fixed-size
-    /// [`RecordBatch`](crate::batch::RecordBatch)es, with one
-    /// stage-closure dispatch per batch and per-batch scratch reclaimed
-    /// from a worker-local [`BatchArena`](crate::batch::BatchArena)
-    /// between batches. `None` picks
-    /// [`DEFAULT_BATCH_SIZE`](crate::batch::DEFAULT_BATCH_SIZE).
-    /// Physical only: batches never span simulated partition boundaries
-    /// and results merge in batch order, so every deterministic surface
-    /// is bit-identical across batch sizes (see the `batching`
-    /// differential suite).
-    pub batch_size: Option<usize>,
     /// Sharded physical execution: run fused stages on N worker shards
     /// (threads or real OS processes) over the frame protocol in
     /// [`crate::shuffle`] instead of the in-process thread pool.
@@ -158,7 +145,6 @@ impl ExecutionConfig {
             fusion: true,
             combining: true,
             max_workers: default_max_workers(),
-            batch_size: None,
             sharding: None,
         }
     }
@@ -885,6 +871,75 @@ impl Executor {
         })
     }
 
+    /// The in-process physical pass for one fused stage: chunks run on
+    /// a local thread pool, each through the same
+    /// [`crate::shuffle::StageKernel`] worker shards run, and results
+    /// come back in chunk order. `Err((stage, chunk))` reports a genuine
+    /// UDF panic.
+    #[allow(clippy::too_many_arguments)]
+    fn run_stage_local(
+        &self,
+        stage_ops: &[&Operator],
+        combiner: &Option<(crate::operator::KeyFn, Aggregate)>,
+        do_fold: bool,
+        reduce_cost: crate::operator::CostModel,
+        tapped_stages: &[usize],
+        chain_len: usize,
+        chunks: Vec<Vec<Record>>,
+        dop_eff: usize,
+    ) -> Result<Vec<ChunkOut>, (usize, usize)> {
+        let n_chunks = chunks.len();
+        let kernel = crate::shuffle::StageKernel {
+            ops: stage_ops,
+            fold: combiner
+                .as_ref()
+                .filter(|_| do_fold)
+                .map(|(key, agg)| (key, agg, reduce_cost)),
+            tapped: tapped_stages,
+            work_scale: self.config.work_scale,
+            chain_len,
+        };
+        let slots: Vec<parking_lot::Mutex<Option<Vec<Record>>>> =
+            chunks.into_iter().map(|c| parking_lot::Mutex::new(Some(c))).collect();
+        let results: Vec<parking_lot::Mutex<Option<ChunkOut>>> =
+            (0..n_chunks).map(|_| parking_lot::Mutex::new(None)).collect();
+        let queue: parking_lot::Mutex<Vec<usize>> =
+            parking_lot::Mutex::new((0..n_chunks).rev().collect());
+        // (stage, chunk) of a genuine UDF panic — injected panics are
+        // accounted analytically in the replay and never fire here
+        let fatal: parking_lot::Mutex<Option<(usize, usize)>> = parking_lot::Mutex::new(None);
+        let worker_count = dop_eff.min(n_chunks).min(self.config.max_workers).max(1);
+        std::thread::scope(|scope| {
+            for _ in 0..worker_count {
+                scope.spawn(|| loop {
+                    if fatal.lock().is_some() {
+                        break;
+                    }
+                    let Some(i) = queue.lock().pop() else { break };
+                    let records = slots[i].lock().take().expect("each chunk is taken once");
+                    let stage_at = std::cell::Cell::new(0usize);
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| kernel.run_chunk(records, &stage_at)));
+                    match outcome {
+                        Ok(r) => *results[i].lock() = Some(r),
+                        Err(_) => *fatal.lock() = Some((stage_at.get(), i)),
+                    }
+                });
+            }
+        });
+        if let Some(hit) = fatal.into_inner() {
+            // A genuine (non-injected) UDF panic is a deterministic
+            // programming bug: every retry would fail identically, so
+            // the exhausted budget is reported directly. The flow aborts
+            // and nothing from this chain is committed.
+            return Err(hit);
+        }
+        Ok(results
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every chunk completed"))
+            .collect())
+    }
+
     /// Executes the fused stage of operator nodes `first .. first +
     /// stage.len` as one physical pass, then replays the cost model per
     /// constituent in node-id order.
@@ -909,91 +964,6 @@ impl Executor {
     /// byte-identically from tapped intermediate streams. Stage shape
     /// therefore never changes a deterministic number.
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    /// The in-process physical pass for one fused stage: chunks run on
-    /// a local thread pool, each through the same
-    /// [`crate::shuffle::StageKernel`] worker shards run, and results
-    /// come back in chunk order. `Err((stage, chunk))` reports a genuine
-    /// UDF panic.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage_local(
-        &self,
-        stage_ops: &[&Operator],
-        combiner: &Option<(crate::operator::KeyFn, Aggregate)>,
-        do_fold: bool,
-        reduce_cost: crate::operator::CostModel,
-        tapped_stages: &[usize],
-        chain_len: usize,
-        chunks: Vec<Vec<Record>>,
-        batch_size: usize,
-        dop_eff: usize,
-    ) -> Result<Vec<ChunkOut>, (usize, usize)> {
-        let n_chunks = chunks.len();
-        let pending: Vec<Vec<RecordBatch>> = chunks
-            .into_iter()
-            .map(|c| RecordBatch::split(c, batch_size))
-            .collect();
-        let kernel = crate::shuffle::StageKernel {
-            ops: stage_ops,
-            fold: combiner
-                .as_ref()
-                .filter(|_| do_fold)
-                .map(|(key, agg)| (key, agg, reduce_cost)),
-            tapped: tapped_stages,
-            work_scale: self.config.work_scale,
-            chain_len,
-        };
-        let slots: Vec<parking_lot::Mutex<Option<Vec<RecordBatch>>>> =
-            pending.into_iter().map(|c| parking_lot::Mutex::new(Some(c))).collect();
-        let results: Vec<parking_lot::Mutex<Option<ChunkOut>>> =
-            (0..n_chunks).map(|_| parking_lot::Mutex::new(None)).collect();
-        let queue: parking_lot::Mutex<Vec<usize>> =
-            parking_lot::Mutex::new((0..n_chunks).rev().collect());
-        // (stage, chunk) of a genuine UDF panic — injected panics are
-        // accounted analytically in the replay and never fire here
-        let fatal: parking_lot::Mutex<Option<(usize, usize)>> = parking_lot::Mutex::new(None);
-        let worker_count = dop_eff.min(n_chunks).min(self.config.max_workers).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..worker_count {
-                scope.spawn(|| {
-                    // Worker-persistent arena: per-batch scratch is
-                    // reclaimed (capacity kept) between batches, and
-                    // the combiner's wire encode reuses its byte
-                    // buffer across chunks.
-                    let mut arena = BatchArena::new();
-                    loop {
-                        if fatal.lock().is_some() {
-                            break;
-                        }
-                        let Some(i) = queue.lock().pop() else { break };
-                        let batches =
-                            slots[i].lock().take().expect("each chunk is taken once");
-                        let stage_at = std::cell::Cell::new(0usize);
-                        let arena = &mut arena;
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            kernel.run_chunk(batches, arena, &stage_at)
-                        }));
-                        match outcome {
-                            Ok(r) => *results[i].lock() = Some(r),
-                            Err(_) => *fatal.lock() = Some((stage_at.get(), i)),
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(hit) = fatal.into_inner() {
-            // A genuine (non-injected) UDF panic is a deterministic
-            // programming bug: every retry would fail identically, so
-            // the exhausted budget is reported directly. The flow aborts
-            // and nothing from this chain is committed.
-            return Err(hit);
-        }
-        Ok(results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every chunk completed"))
-            .collect())
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn run_chain(
         &self,
         plan: &LogicalPlan,
@@ -1229,19 +1199,9 @@ impl Executor {
         } else if physical_stages > 0 {
             // Phase 2 — the fused pass: partition the owned input into
             // contiguous chunks (same boundaries the unfused first stage
-            // would use), split each chunk into fixed-size record
-            // batches, and push every batch through every stage inside
+            // would use) and push each chunk through every stage inside
             // one thread scope, records moved by value throughout.
-            // Batching is physical only: batches never span chunk
-            // boundaries and each chunk's batches run in order, so the
-            // per-stage record streams (and everything derived from
-            // them) are identical for every batch size.
             let chunk_size = input.len().div_ceil(scheds[0].dop_eff).max(1);
-            let batch_size = self
-                .config
-                .batch_size
-                .unwrap_or(crate::batch::DEFAULT_BATCH_SIZE)
-                .max(1);
             let mut chunks: Vec<Vec<Record>> =
                 Vec::with_capacity(input.len() / chunk_size + 1);
             let mut rest = input;
@@ -1280,7 +1240,6 @@ impl Executor {
                                 fold: fold_spec,
                                 tapped: tapped_stages.clone(),
                                 work_scale: self.config.work_scale,
-                                batch_size,
                                 chain_len: len,
                             })
                         }
@@ -1309,7 +1268,6 @@ impl Executor {
                     &tapped_stages,
                     len,
                     chunks,
-                    batch_size,
                     scheds[0].dop_eff,
                 )
                 .map_err(|(stage, chunk)| ExecutionError::OperatorPanicked {

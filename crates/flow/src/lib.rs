@@ -9,8 +9,6 @@
 //!
 //! - [`record`] — the JSON-like record model whose annotation growth
 //!   drives the network war story;
-//! - [`batch`] — fixed-size record batches and the per-worker bump arena
-//!   behind the fused executor's batched physical path;
 //! - [`operator`] — UDF operators with semantic (reads/writes) and
 //!   resource (memory/startup/cost) annotations;
 //! - [`packages`] — the BASE / IE / WA / DC operator packages and the
@@ -36,7 +34,6 @@
 //!   deterministic surface stays byte-identical to in-process runs.
 
 pub mod analyze;
-pub mod batch;
 pub mod cluster;
 pub mod dfs;
 pub mod executor;
@@ -52,7 +49,6 @@ pub mod shuffle;
 pub mod transport;
 
 pub use analyze::{analyze_plan, analyze_script, AnalyzeOptions};
-pub use batch::{ArenaStr, BatchArena, RecordBatch, DEFAULT_BATCH_SIZE};
 pub use cluster::{admit, admit_sharded, ClusterSpec, NodeSpec, Placement, SchedulingError};
 pub use dfs::{Dfs, DfsConfig, DfsError, DfsStats};
 pub use executor::{

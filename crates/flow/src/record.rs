@@ -257,7 +257,10 @@ impl Snapshot for Value {
                 // Encoded maps are already in key order, so each insert
                 // takes FieldMap's O(1) append fast path.
                 let n = r.usize()?;
-                let mut o = FieldMap::with_capacity(n);
+                // Each entry takes at least one byte, so a length beyond
+                // the remaining input cannot be honest: clamp the
+                // reservation and let the loop fail on truncation.
+                let mut o = FieldMap::with_capacity(n.min(r.remaining()));
                 for _ in 0..n {
                     let k = r.str()?;
                     o.insert(intern(&k), Value::decode(r)?);
@@ -500,6 +503,19 @@ mod tests {
         }
         let after = r.approx_bytes();
         assert!(after > before * 5, "annotations must inflate records: {before} -> {after}");
+    }
+
+    /// Tag 6 (object) claiming 2^62 entries, with no entry bytes.
+    const HUGE_OBJECT: [u8; 9] = [6, 0, 0, 0, 0, 0, 0, 0, 0x40];
+
+    #[test]
+    fn huge_claimed_object_length_is_a_codec_error_not_a_panic() {
+        assert!(Value::decode(&mut Reader::new(&HUGE_OBJECT)).is_err());
+        assert!(Record::decode(&mut Reader::new(&HUGE_OBJECT)).is_err());
+        // Nested: an array whose one element is the lying object.
+        let mut nested = vec![5, 1, 0, 0, 0, 0, 0, 0, 0];
+        nested.extend_from_slice(&HUGE_OBJECT);
+        assert!(Value::decode(&mut Reader::new(&nested)).is_err());
     }
 
     #[test]

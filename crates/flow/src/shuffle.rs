@@ -6,9 +6,9 @@
 //!
 //! # The byte-identity contract
 //!
-//! Sharding is *physical only*, like fusion, combining, and batching
-//! before it: every deterministic surface (sink bytes, metrics codec
-//! bytes, simulated seconds, digests, tracer JSONL, registry snapshots,
+//! Sharding is *physical only*, like fusion and combining before it:
+//! every deterministic surface (sink bytes, metrics codec bytes,
+//! simulated seconds, digests, tracer JSONL, registry snapshots,
 //! checkpoint frames, store snapshots) is bit-identical to in-process
 //! execution. The trick is the same one the executor already plays —
 //! the physical dataflow and the simulated accounting are decoupled:
@@ -39,7 +39,6 @@
 //! respawns a fresh worker and re-runs the chunks that never reported
 //! results.
 
-use crate::batch::{BatchArena, RecordBatch};
 use crate::operator::{AggState, Aggregate, CostModel, KeyFn, OpFunc, Operator, Package};
 use crate::record::{Record, Value};
 use crate::transport::{
@@ -610,7 +609,7 @@ impl Snapshot for ChunkOut {
         let bytes_out = r.u64()?;
         let partial = if r.bool()? {
             let n = r.usize()?;
-            let mut entries = Vec::with_capacity(n);
+            let mut entries = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
                 entries.push((r.str()?, AggState::decode(r)?, Snapshot::decode(r)?));
             }
@@ -627,7 +626,7 @@ impl Snapshot for ChunkOut {
 /// same code* — byte-identity across placements by construction, not by
 /// parallel maintenance of two loops.
 pub struct StageKernel<'a> {
-    /// Chain constituents executed per batch.
+    /// Chain constituents executed over each chunk.
     pub ops: &'a [&'a Operator],
     /// Trailing combinable Reduce folded after the chain (key,
     /// aggregate, its cost model), when the whole stage survived the
@@ -643,73 +642,62 @@ pub struct StageKernel<'a> {
 impl StageKernel<'_> {
     /// Runs one chunk through the whole stage. `stage_at` tracks the
     /// stage index currently executing so a panic can be attributed.
-    pub fn run_chunk(
-        &self,
-        batches: Vec<RecordBatch>,
-        arena: &mut BatchArena,
-        stage_at: &Cell<usize>,
-    ) -> ChunkOut {
+    pub fn run_chunk(&self, records: Vec<Record>, stage_at: &Cell<usize>) -> ChunkOut {
         let mut stages: Vec<ChunkStats> =
             (0..self.ops.len()).map(|_| ChunkStats::default()).collect();
         let mut taps: Vec<Vec<Record>> = vec![Vec::new(); self.tapped.len()];
-        let mut done: Vec<Record> = Vec::new();
-        // lint:hot_loop(begin): fused-stage worker batch loop
-        for batch in batches {
-            let mut cur = batch.records;
-            for (s, op) in self.ops.iter().enumerate() {
-                stage_at.set(s);
-                // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
-                let t0 = Instant::now();
-                let tally = &mut stages[s];
-                let mut next = Vec::with_capacity(cur.len());
-                let charge = |tally: &mut ChunkStats, r: &Record| {
-                    tally.bytes_in += r.approx_bytes();
-                    tally.costs.push(
-                        self.work_scale
-                            * op.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64)),
-                    );
-                };
-                // One dispatch per batch per stage: the closure-variant
-                // match is hoisted out of the record loop.
-                match op.func() {
-                    OpFunc::Map(f) => {
-                        for r in cur {
-                            charge(tally, &r);
-                            next.push(f(r));
-                        }
-                    }
-                    OpFunc::FlatMap(f) => {
-                        for r in cur {
-                            charge(tally, &r);
-                            next.extend(f(r));
-                        }
-                    }
-                    OpFunc::Filter(f) => {
-                        for r in cur {
-                            charge(tally, &r);
-                            if f(&r) {
-                                next.push(r);
-                            }
-                        }
-                    }
-                    OpFunc::Reduce { .. } => {
-                        unreachable!("reduce is never part of a chain")
+        let mut cur = records;
+        // lint:hot_loop(begin): fused-stage chunk loop over the stage chain
+        for (s, op) in self.ops.iter().enumerate() {
+            stage_at.set(s);
+            // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
+            let t0 = Instant::now();
+            let tally = &mut stages[s];
+            let mut next = Vec::with_capacity(cur.len());
+            let charge = |tally: &mut ChunkStats, r: &Record| {
+                tally.bytes_in += r.approx_bytes();
+                tally.costs.push(
+                    self.work_scale
+                        * op.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64)),
+                );
+            };
+            // One dispatch per chunk per stage: the closure-variant
+            // match is hoisted out of the record loop.
+            match op.func() {
+                OpFunc::Map(f) => {
+                    for r in cur {
+                        charge(tally, &r);
+                        next.push(f(r));
                     }
                 }
-                tally.wall_ms += t0.elapsed().as_secs_f64() * 1000.0;
-                cur = next;
-                if let Some(t) = self.tapped.iter().position(|&ts| ts == s) {
-                    taps[t].extend(cur.iter().cloned());
+                OpFunc::FlatMap(f) => {
+                    for r in cur {
+                        charge(tally, &r);
+                        next.extend(f(r));
+                    }
+                }
+                OpFunc::Filter(f) => {
+                    for r in cur {
+                        charge(tally, &r);
+                        if f(&r) {
+                            next.push(r);
+                        }
+                    }
+                }
+                OpFunc::Reduce { .. } => {
+                    unreachable!("reduce is never part of a chain")
                 }
             }
-            done.extend(cur);
-            arena.reset();
+            tally.wall_ms += t0.elapsed().as_secs_f64() * 1000.0;
+            cur = next;
+            if let Some(t) = self.tapped.iter().position(|&ts| ts == s) {
+                taps[t].extend(cur.iter().cloned());
+            }
         }
         // lint:hot_loop(end)
         for tally in &mut stages {
             tally.records_in = tally.costs.len() as u64;
         }
-        let mut cur = done;
         let partial = if let Some((key, agg, reduce_cost)) = &self.fold {
             stage_at.set(self.chain_len - 1);
             // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
@@ -729,10 +717,10 @@ impl StageKernel<'_> {
             cur = Vec::new();
             // The combiner's shuffle: only the sorted-key partial map
             // crosses the boundary through the codec, not the record
-            // stream. The encode borrows the arena's recycled buffer.
+            // stream.
             let mut sorted: Vec<(String, (AggState, Vec<f64>))> = map.into_iter().collect();
             sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut w = Writer::from_vec(arena.take_scratch());
+            let mut w = Writer::new();
             w.usize(sorted.len());
             for (k, (st, _)) in &sorted {
                 w.str(k);
@@ -750,7 +738,6 @@ impl StageKernel<'_> {
                     (k, st, costs)
                 })
                 .collect();
-            arena.put_scratch(wire);
             tally.wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
             stages.push(tally);
             Some((entries, shuffled))
@@ -777,7 +764,6 @@ pub enum StageTask {
         fold: Option<OpSpec>,
         tapped: Vec<usize>,
         work_scale: f64,
-        batch_size: usize,
         chain_len: usize,
     },
     /// The uncombined-Reduce shuffle target: group arriving records by
@@ -790,13 +776,12 @@ pub enum StageTask {
 impl Snapshot for StageTask {
     fn encode(&self, w: &mut Writer) {
         match self {
-            StageTask::Pipeline { ops, fold, tapped, work_scale, batch_size, chain_len } => {
+            StageTask::Pipeline { ops, fold, tapped, work_scale, chain_len } => {
                 w.u8(0);
                 ops.encode(w);
                 fold.encode(w);
                 tapped.encode(w);
                 w.f64(*work_scale);
-                w.usize(*batch_size);
                 w.usize(*chain_len);
             }
             StageTask::GroupBy { key, spill_threshold } => {
@@ -814,7 +799,6 @@ impl Snapshot for StageTask {
                 fold: Snapshot::decode(r)?,
                 tapped: Snapshot::decode(r)?,
                 work_scale: r.f64()?,
-                batch_size: r.usize()?,
                 chain_len: r.usize()?,
             }),
             1 => Ok(StageTask::GroupBy { key: KeySpec::decode(r)?, spill_threshold: r.usize()? }),
@@ -1039,9 +1023,7 @@ enum WorkerMode {
         fold_op: Option<Operator>,
         tapped: Vec<usize>,
         work_scale: f64,
-        batch_size: usize,
         chain_len: usize,
-        arena: BatchArena,
     },
     GroupBy(GroupTable),
 }
@@ -1065,7 +1047,7 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                 let mut r = Reader::new(&payload);
                 let task = StageTask::decode(&mut r).map_err(TransportError::Codec)?;
                 mode = Some(match task {
-                    StageTask::Pipeline { ops, fold, tapped, work_scale, batch_size, chain_len } => {
+                    StageTask::Pipeline { ops, fold, tapped, work_scale, chain_len } => {
                         let built: Vec<Operator> = ops.iter().map(OpSpec::build).collect();
                         let fold_op = fold.as_ref().map(OpSpec::build);
                         if let Some(f) = &fold_op {
@@ -1081,9 +1063,7 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                             fold_op,
                             tapped,
                             work_scale,
-                            batch_size: batch_size.max(1),
                             chain_len,
-                            arena: BatchArena::new(),
                         }
                     }
                     StageTask::GroupBy { key, spill_threshold } => {
@@ -1095,15 +1075,7 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                 let (chunk_idx, records) =
                     decode_chunk_payload(&payload).map_err(TransportError::Codec)?;
                 match &mut mode {
-                    Some(WorkerMode::Pipeline {
-                        ops,
-                        fold_op,
-                        tapped,
-                        work_scale,
-                        batch_size,
-                        chain_len,
-                        arena,
-                    }) => {
+                    Some(WorkerMode::Pipeline { ops, fold_op, tapped, work_scale, chain_len }) => {
                         let refs: Vec<&Operator> = ops.iter().collect();
                         let fold = fold_op.as_ref().and_then(|f| match f.func() {
                             OpFunc::Reduce { key, aggregate } => Some((key, aggregate, f.cost)),
@@ -1116,11 +1088,9 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                             work_scale: *work_scale,
                             chain_len: *chain_len,
                         };
-                        let batches = RecordBatch::split(records, *batch_size);
                         let stage_at = Cell::new(0usize);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            kernel.run_chunk(batches, arena, &stage_at)
-                        }));
+                        let outcome =
+                            catch_unwind(AssertUnwindSafe(|| kernel.run_chunk(records, &stage_at)));
                         match outcome {
                             Ok(out) => {
                                 let mut w = Writer::new();
@@ -1139,8 +1109,6 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                                 w.usize(chunk_idx);
                                 w.str(&msg);
                                 chan.send(K_ERR, &w.into_bytes())?;
-                                // a panic may have poisoned the arena
-                                *arena = BatchArena::new();
                             }
                         }
                     }
@@ -2001,12 +1969,7 @@ mod tests {
             work_scale: 1.0,
             chain_len: 2,
         };
-        let mut arena = BatchArena::new();
-        let direct = kernel.run_chunk(
-            RecordBatch::split(docs(10), 4),
-            &mut arena,
-            &Cell::new(0),
-        );
+        let direct = kernel.run_chunk(docs(10), &Cell::new(0));
 
         let mut pool = ShardPool::new(ShardConfig::in_process(1));
         let task = StageTask::Pipeline {
@@ -2014,7 +1977,6 @@ mod tests {
             fold: None,
             tapped: vec![],
             work_scale: 1.0,
-            batch_size: 4,
             chain_len: 2,
         };
         let outs = run_stage_sharded(&mut pool, &task, vec![docs(10)]).unwrap();
@@ -2067,7 +2029,6 @@ mod tests {
             fold: None,
             tapped: vec![],
             work_scale: 1.0,
-            batch_size: 8,
             chain_len: 1,
         };
         let chunks: Vec<Vec<Record>> = (0..6).map(|_| docs(4)).collect();
@@ -2088,7 +2049,6 @@ mod tests {
             fold: None,
             tapped: vec![],
             work_scale: 1.0,
-            batch_size: 8,
             chain_len: 1,
         };
         let chunks: Vec<Vec<Record>> = (0..6).map(|i| docs(3 + i)).collect();
@@ -2098,6 +2058,64 @@ mod tests {
         for (i, out) in outs.iter().enumerate() {
             assert_eq!(out.out.len(), 3 + i);
             assert!(out.out.iter().all(|r| r.contains("stamp")));
+        }
+    }
+
+    fn encoded(value: &impl Snapshot) -> Vec<u8> {
+        let mut w = Writer::new();
+        value.encode(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn chunk_out_with_a_huge_claimed_partial_count_is_a_codec_error() {
+        let mut w = Writer::new();
+        Vec::<ChunkStats>::new().encode(&mut w);
+        Vec::<Record>::new().encode(&mut w);
+        w.u64(0);
+        w.bool(true);
+        w.usize(1 << 62);
+        let bytes = w.into_bytes();
+        assert!(ChunkOut::decode(&mut Reader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_stage_task_or_chunk_out_is_a_codec_error() {
+        let task = StageTask::Pipeline {
+            ops: vec![stamp_spec(), OpSpec::new("upper", Package::Ie, SpecOp::MapUpper)],
+            fold: Some(reduce_spec()),
+            tapped: vec![0],
+            work_scale: 1.5,
+            chain_len: 3,
+        };
+        let entries = vec![("g0".to_string(), AggState::Count(2), vec![0.5, 0.25])];
+        let chunk = ChunkOut {
+            stages: vec![ChunkStats {
+                costs: vec![0.125],
+                records_in: 1,
+                bytes_in: 9,
+                wall_ms: 0.0,
+            }],
+            out: docs(2),
+            bytes_out: 17,
+            partial: Some((entries, 33)),
+            taps: vec![docs(1)],
+        };
+        let task_bytes = encoded(&task);
+        assert_eq!(StageTask::decode(&mut Reader::new(&task_bytes)).unwrap(), task);
+        for cut in 0..task_bytes.len() {
+            assert!(
+                StageTask::decode(&mut Reader::new(&task_bytes[..cut])).is_err(),
+                "stage task prefix of {cut} bytes decoded"
+            );
+        }
+        let chunk_bytes = encoded(&chunk);
+        assert!(ChunkOut::decode(&mut Reader::new(&chunk_bytes)).is_ok());
+        for cut in 0..chunk_bytes.len() {
+            assert!(
+                ChunkOut::decode(&mut Reader::new(&chunk_bytes[..cut])).is_err(),
+                "chunk out prefix of {cut} bytes decoded"
+            );
         }
     }
 

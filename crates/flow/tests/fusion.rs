@@ -9,7 +9,10 @@
 //!    (including plans the analyzer rejects);
 //! 2. killing a fused run at a random node boundary and resuming from
 //!    its last checkpoint reproduces the uninterrupted run bit for bit —
-//!    fused or not.
+//!    fused or not;
+//! 3. on fan-out plans, where the fused chain tees an interior node's
+//!    stream to a side consumer, the fused run matches the unfused one
+//!    on both sinks and on every checkpoint frame.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -86,6 +89,22 @@ fn chain_plan(indices: &[usize]) -> LogicalPlan {
     plan
 }
 
+/// stamp -> dup -> parity -> grow -> sink "out", with a side branch
+/// hanging off the node at `branch_at` (1-based into the chain) feeding
+/// a second sink — the fan-out shape the fused executor tees.
+fn fan_out_plan(branch_at: usize) -> LogicalPlan {
+    let mut plan = LogicalPlan::new();
+    let mut chain = vec![plan.source("in")];
+    for idx in [0usize, 1, 2, 4] {
+        let prev = *chain.last().expect("non-empty");
+        chain.push(plan.add(prev, pool_op(idx)).expect("fan-out plan"));
+    }
+    plan.sink(*chain.last().expect("non-empty"), "out").expect("fan-out plan");
+    let side = plan.add(chain[branch_at], pool_op(4)).expect("fan-out plan");
+    plan.sink(side, "side").expect("fan-out plan");
+    plan
+}
+
 fn docs(n: usize) -> Vec<Record> {
     (0..n)
         .map(|i| {
@@ -107,6 +126,7 @@ struct RunSurface {
     digest: Option<u64>,
     jsonl: String,
     registry: websift_observe::RegistrySnapshot,
+    checkpoints: Vec<(usize, Vec<u8>)>,
     error: Option<String>,
 }
 
@@ -115,12 +135,16 @@ fn run_surface(plan: &LogicalPlan, input: Vec<Record>, config: ExecutionConfig, 
     let mut inputs = HashMap::new();
     inputs.insert("in".to_string(), input);
     let result = Executor::new(config).run_observed(plan, inputs, res, &obs);
-    let (output, error): (Option<FlowOutput>, Option<String>) = match result {
-        Ok(run) => (run.output, None),
+    let (output, checkpoints, error): (Option<FlowOutput>, _, Option<String>) = match result {
+        Ok(run) => (
+            run.output,
+            run.checkpoints.iter().map(|c| (c.next_node, c.as_bytes().to_vec())).collect(),
+            None,
+        ),
         Err(ExecutionError::PlanRejected { diagnostics }) => {
-            (None, Some(format!("WS00x: {}", diagnostics_to_json(&diagnostics))))
+            (None, Vec::new(), Some(format!("WS00x: {}", diagnostics_to_json(&diagnostics))))
         }
-        Err(e) => (None, Some(format!("{e}"))),
+        Err(e) => (None, Vec::new(), Some(format!("{e}"))),
     };
     let mut surface = RunSurface {
         sink_bytes: None,
@@ -129,6 +153,7 @@ fn run_surface(plan: &LogicalPlan, input: Vec<Record>, config: ExecutionConfig, 
         digest: None,
         jsonl: obs.tracer().to_jsonl(),
         registry: obs.registry().snapshot(),
+        checkpoints,
         error,
     };
     if let Some(out) = output {
@@ -265,6 +290,36 @@ proptest! {
                 indices,
                 stop
             );
+        }
+    }
+}
+
+/// Fan-out plans: the fused chain tees an interior node to a side sink.
+/// Every branch point must agree with the unfused engine on both sinks
+/// and on every checkpoint frame, with and without injected faults.
+#[test]
+fn fan_out_tee_matches_unfused() {
+    for branch_at in 1..=4usize {
+        let plan = fan_out_plan(branch_at);
+        for dop in [1usize, 4, 8] {
+            for seed in [0u64, 909] {
+                let res = FlowResilience::injected(seed, 0.2, 2);
+                let unfused = run_surface(
+                    &plan,
+                    docs(24),
+                    ExecutionConfig { fusion: false, ..ExecutionConfig::local(dop) },
+                    &res,
+                );
+                assert!(unfused.error.is_none(), "fan-out plan must run: {:?}", unfused.error);
+                let fused = run_surface(&plan, docs(24), ExecutionConfig::local(dop), &res);
+                let ctx = format!("branch_at {branch_at} dop {dop} seed {seed}");
+                assert_eq!(fused.error, unfused.error, "{ctx}");
+                assert_eq!(fused.sink_bytes, unfused.sink_bytes, "{ctx}");
+                assert_eq!(fused.metrics_bytes, unfused.metrics_bytes, "{ctx}");
+                assert_eq!(fused.simulated_bits, unfused.simulated_bits, "{ctx}");
+                assert_eq!(fused.jsonl, unfused.jsonl, "{ctx}");
+                assert_eq!(fused.checkpoints, unfused.checkpoints, "{ctx}");
+            }
         }
     }
 }

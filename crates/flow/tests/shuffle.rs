@@ -20,8 +20,8 @@
 //! 5. records routed to a store sink (`Executor::run_into`) land
 //!    identically, so serve-side snapshots cannot observe sharding.
 //!
-//! The fourth axis of the `tests/fusion.rs` / `tests/partial_agg.rs` /
-//! `tests/batch.rs` equivalence family.
+//! The third axis of the `tests/fusion.rs` / `tests/partial_agg.rs`
+//! equivalence family.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -40,7 +40,7 @@ fn worker_bin() -> &'static str {
     env!("CARGO_BIN_EXE_shard_worker")
 }
 
-/// The `tests/batch.rs` operator vocabulary rebuilt from [`OpSpec`]s, so
+/// The `tests/fusion.rs` operator vocabulary rebuilt from [`OpSpec`]s, so
 /// every operator (closure and annotations alike) can be shipped to a
 /// worker shard byte-identically: stamping maps, a duplicating
 /// flat-map, a parity filter, a byte-growing map, the WS001-tripping
@@ -146,7 +146,7 @@ fn inputs_for(input: Vec<Record>) -> HashMap<String, Vec<Record>> {
 }
 
 /// Everything deterministic a run exposes, flattened to comparable
-/// bytes/strings — the `tests/batch.rs` surface. Physical facts
+/// bytes/strings — the `tests/partial_agg.rs` surface. Physical facts
 /// (`PhysicalStats`, wire counters) are deliberately absent: they are
 /// *allowed* to differ across shard counts.
 struct RunSurface {

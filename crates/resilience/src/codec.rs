@@ -77,13 +77,6 @@ impl Writer {
         Writer::default()
     }
 
-    /// Writer over a recycled buffer (cleared first), so hot encode paths
-    /// can reuse capacity across calls instead of reallocating.
-    pub fn from_vec(mut buf: Vec<u8>) -> Writer {
-        buf.clear();
-        Writer { buf }
-    }
-
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
