@@ -65,6 +65,16 @@ echo "exp_analyze check: explain byte-stable and matches executor decisions ok"
 PROPTEST_CASES=64 cargo test -q -p websift-text --lib pos::tests::pruned_decoder
 echo "pos differential: pruned Viterbi == reference decoder ok"
 
+# One-pass seal differentials: every lane of the multi-lane FNV sweep
+# must equal an independent digest over its ranges (with digest slots
+# patched mid-pass), and every live round's one-pass watermark must be
+# byte-identical to `Watermark::seal` over the separately sealed public
+# parts, with final frames matching the recorded digests. Cases pinned
+# as above.
+PROPTEST_CASES=64 cargo test -q -p websift-resilience --test lanes
+PROPTEST_CASES=64 cargo test -q --test live -- one_pass_seal final_watermarks
+echo "watermark seal: lanes == digests, one-pass == composed watermark ok"
+
 # Partial-aggregation equivalence: the combining executor must be
 # byte-identical to the uncombined one on every deterministic surface.
 # Cases are pinned so CI explores the same search space every run.

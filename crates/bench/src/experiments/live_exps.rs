@@ -431,8 +431,9 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
     }
 }
 
-/// Machine-readable report for `BENCH_LIVE.json`. Host parallelism and
-/// the round/DoP grid are stamped in so wall-clock freshness can be
+/// Machine-readable report for `BENCH_LIVE.json`. Host parallelism, the
+/// git revision the bench was built on, and the round/DoP grid are
+/// stamped in so wall-clock freshness can be
 /// compared across machines; costs are simulated seconds and must not
 /// vary across machines at all.
 pub fn live_json(report: &LiveReport) -> String {
@@ -460,6 +461,7 @@ pub fn live_json(report: &LiveReport) -> String {
         .str("experiment", "live")
         .u64("max_pages", report.max_pages as u64)
         .u64("host_logical_cores", crate::report::host_logical_cores())
+        .str("git_revision", &crate::report::git_revision())
         .u64("rounds", u64::from(report.rounds))
         .u64("total_documents", report.total_documents)
         .u64("store_postings", report.store_postings)
@@ -497,6 +499,7 @@ mod tests {
         assert!(json.contains("\"dop_invariant\":true"));
         assert!(json.contains("\"incremental_wins\":true"));
         assert!(json.contains("\"host_logical_cores\""));
+        assert!(json.contains("\"git_revision\""));
     }
 
     #[test]

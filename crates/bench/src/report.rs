@@ -83,6 +83,42 @@ pub fn host_logical_cores() -> u64 {
     std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(0)
 }
 
+/// The commit checked out where the bench runs, read from `.git` (run
+/// from the repository root): the full hash, or `none` in a source
+/// export. A `-dirty` suffix marks tracked files that differ from that
+/// commit, so the stamp never names code that did not run; the suffix
+/// is left off when `git` itself cannot be run.
+pub fn git_revision() -> String {
+    let read = |path: &str| std::fs::read_to_string(path).ok().map(|s| s.trim().to_string());
+    let Some(head) = read(".git/HEAD") else {
+        return "none".into();
+    };
+    let commit = match head.strip_prefix("ref: ") {
+        None => head,
+        Some(reference) => read(&format!(".git/{reference}"))
+            .or_else(|| {
+                read(".git/packed-refs")?
+                    .lines()
+                    .find(|line| line.ends_with(reference))
+                    .and_then(|line| line.split(' ').next())
+                    .map(str::to_string)
+            })
+            .unwrap_or_else(|| "unknown".into()),
+    };
+    // `git diff --quiet` exits 1 exactly when the tree differs from HEAD
+    let dirty = std::process::Command::new("git")
+        .args(["diff", "--quiet", "HEAD", "--"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .is_ok_and(|status| status.code() == Some(1));
+    if dirty {
+        format!("{commit}-dirty")
+    } else {
+        commit
+    }
+}
+
 /// True when the process was invoked with `--json` — the experiment
 /// binaries switch from markdown tables to machine-readable output.
 pub fn json_mode() -> bool {

@@ -35,12 +35,16 @@ use crate::fetcher::{FaultContext, Fetcher};
 use crate::filters::{FilterChain, FilterConfig, FilterStats};
 use crate::linkdb::LinkDb;
 use crate::parser::extract_links;
-use crate::recovery::{CrawlCheckpoint, ResilienceOptions, ResilienceStats};
+use crate::recovery::{
+    CheckpointFrame, CrawlCheckpoint, ResilienceOptions, ResilienceStats, StateSections,
+    CHECKPOINT_TAG, CHECKPOINT_VERSION,
+};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use websift_observe::{Labels, Observer, RegistrySnapshot};
-use websift_resilience::codec;
+use websift_resilience::codec::{self, Patch};
 use websift_resilience::{
     BreakerState, CircuitBreaker, CodecError, FaultKind, Reader, RetryBudget, Snapshot, Writer,
 };
@@ -448,14 +452,20 @@ impl<'w> FocusedCrawler<'w> {
 
     /// Digest of the complete crawler + report state, for asserting the
     /// bit-identical kill/resume invariant without field-by-field
-    /// comparison.
+    /// comparison. It covers the [`StateSections`] of a checkpoint
+    /// payload: filter stats, retry state, and the metrics registry are
+    /// checkpointed but not digested.
     pub fn state_digest(&self, report: &CrawlReport) -> u64 {
         let mut w = Writer::new();
-        self.encode_state(&mut w, report);
+        self.encode_crawler_state(&mut w);
+        report.encode(&mut w);
         codec::digest(&w.into_bytes())
     }
 
-    fn encode_state(&self, w: &mut Writer, report: &CrawlReport) {
+    /// The crawler's own state — CrawlDB, LinkDB, classifier counts,
+    /// dedup hashes — the first section of a checkpoint payload.
+    fn encode_crawler_state(&self, w: &mut Writer) -> Range<usize> {
+        let start = w.len();
         self.crawldb.encode_snapshot(w);
         self.linkdb.encode_snapshot(w);
         let (word_counts, class_tokens, class_docs, threshold) = self.classifier.snapshot_parts();
@@ -464,9 +474,35 @@ impl<'w> FocusedCrawler<'w> {
         class_docs.encode(w);
         w.f64(threshold);
         self.seen_content.encode(w);
-        report.encode(w);
+        start..w.len()
     }
 
+    /// Writes a sealed-format `WSCK` checkpoint frame into `w`, checksum
+    /// slot unfilled — the one checkpoint encoder behind cadence
+    /// checkpoints, [`CrawlSession::checkpoint`], and the live watermark.
+    fn write_checkpoint_frame(
+        &self,
+        w: &mut Writer,
+        report: &CrawlReport,
+        filters: &FilterChain,
+        rt: &RetryState,
+    ) -> CheckpointFrame {
+        let (span, state) = w.frame(CHECKPOINT_TAG, CHECKPOINT_VERSION, |w| {
+            let crawler = self.encode_crawler_state(w);
+            filters.stats().encode(w);
+            let start = w.len();
+            report.encode(w);
+            let report_range = start..w.len();
+            rt.encode(w);
+            // registry state rides in the frame so resumed crawls
+            // continue their metrics bit-identically
+            self.observer.registry().snapshot().encode(w);
+            StateSections { crawler, report: report_range }
+        });
+        CheckpointFrame { span, state, round: rt.round }
+    }
+
+    /// Encodes and seals a checkpoint in one pass.
     fn take_checkpoint(
         &self,
         report: &CrawlReport,
@@ -474,21 +510,14 @@ impl<'w> FocusedCrawler<'w> {
         rt: &RetryState,
     ) -> CrawlCheckpoint {
         let mut w = Writer::new();
-        self.crawldb.encode_snapshot(&mut w);
-        self.linkdb.encode_snapshot(&mut w);
-        let (word_counts, class_tokens, class_docs, threshold) = self.classifier.snapshot_parts();
-        word_counts.encode(&mut w);
-        class_tokens.encode(&mut w);
-        class_docs.encode(&mut w);
-        w.f64(threshold);
-        self.seen_content.encode(&mut w);
-        filters.stats().encode(&mut w);
-        report.encode(&mut w);
-        rt.encode(&mut w);
-        // registry state rides in the frame so resumed crawls continue
-        // their metrics bit-identically
-        self.observer.registry().snapshot().encode(&mut w);
-        CrawlCheckpoint::seal(rt.round, &w.into_bytes())
+        let frame = self.write_checkpoint_frame(&mut w, report, filters, rt);
+        let mut bytes = w.into_bytes();
+        codec::hash_lanes(
+            &mut bytes,
+            &[vec![frame.span.payload.clone()]],
+            &[Patch { slot: frame.span.checksum, lane: 0 }],
+        );
+        CrawlCheckpoint::from_sealed(frame.round, bytes)
     }
 
     fn finish(&self, report: &mut CrawlReport, filters: &FilterChain, rt: &RetryState) {
@@ -935,6 +964,17 @@ impl<'w> CrawlSession<'w> {
     /// `crawl_resilient` takes, so either kind can resume a session.
     pub fn checkpoint(&self) -> CrawlCheckpoint {
         self.crawler.take_checkpoint(&self.report, &self.filters, &self.rt)
+    }
+
+    /// Writes the frame [`CrawlSession::checkpoint`] would seal straight
+    /// into `w`, leaving its checksum slot for the caller's
+    /// [`codec::hash_lanes`] pass. The returned [`CheckpointFrame`] names
+    /// the payload to checksum and the sections whose concatenated
+    /// digest is [`CrawlSession::state_digest`], so a caller embedding
+    /// the checkpoint in a larger frame hashes every byte once.
+    pub fn write_checkpoint_frame(&self, w: &mut Writer) -> CheckpointFrame {
+        self.crawler
+            .write_checkpoint_frame(w, &self.report, &self.filters, &self.rt)
     }
 
     /// Rounds completed so far.

@@ -46,5 +46,7 @@ pub use feedback::IeFeedback;
 pub use fetcher::{FaultContext, FetchFailure, FetchOutcome, FetchStats, Fetcher};
 pub use filters::{FilterChain, FilterConfig, FilterStats, RejectReason};
 pub use linkdb::LinkDb;
-pub use recovery::{CrawlCheckpoint, ResilienceOptions, ResilienceStats};
+pub use recovery::{
+    CheckpointFrame, CrawlCheckpoint, ResilienceOptions, ResilienceStats, StateSections,
+};
 pub use seeds::{default_engines, generate_seeds, SearchEngine, SeedList};

@@ -6,13 +6,15 @@
 //! focused crawler exposes them — what can be tuned per crawl, what is
 //! reported afterwards, and the envelope around checkpoint bytes.
 
+use std::ops::Range;
+
 use serde::Serialize;
-use websift_resilience::codec;
+use websift_resilience::codec::{self, FrameSpan};
 use websift_resilience::{BackoffPolicy, CodecError, FaultPlan, Reader, Snapshot, Writer};
 
 /// Frame tag + version for crawl checkpoints.
-const CHECKPOINT_TAG: [u8; 4] = *b"WSCK";
-const CHECKPOINT_VERSION: u16 = 1;
+pub(crate) const CHECKPOINT_TAG: [u8; 4] = *b"WSCK";
+pub(crate) const CHECKPOINT_VERSION: u16 = 1;
 
 /// Per-crawl resilience configuration.
 ///
@@ -128,13 +130,43 @@ pub struct CrawlCheckpoint {
     pub round: u64,
 }
 
+/// Where a crawl checkpoint payload keeps the state that
+/// [`crate::FocusedCrawler::state_digest`] covers, as offsets into the
+/// writer the checkpoint was encoded into. The filter stats between the
+/// two sections, and the retry state and metrics registry after the
+/// report, are checkpointed but not digested.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StateSections {
+    /// CrawlDB, LinkDB, classifier counts, and dedup hashes.
+    pub crawler: Range<usize>,
+    /// The crawl report.
+    pub report: Range<usize>,
+}
+
+impl StateSections {
+    /// The state digest's lane for [`codec::hash_lanes`].
+    pub fn ranges(&self) -> Vec<Range<usize>> {
+        vec![self.crawler.clone(), self.report.clone()]
+    }
+}
+
+/// A `WSCK` checkpoint frame written in place by
+/// [`crate::CrawlSession::write_checkpoint_frame`], checksum slot still
+/// unfilled.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointFrame {
+    /// The frame's payload and checksum slot.
+    pub span: FrameSpan,
+    /// The sections the state digest covers.
+    pub state: StateSections,
+    /// Round index the checkpoint is taken at.
+    pub round: u64,
+}
+
 impl CrawlCheckpoint {
-    /// Seals a raw encoded payload (used by the crawl loop).
-    pub(crate) fn seal(round: u64, payload: &[u8]) -> CrawlCheckpoint {
-        CrawlCheckpoint {
-            frame: codec::seal(CHECKPOINT_TAG, CHECKPOINT_VERSION, payload),
-            round,
-        }
+    /// Adopts a frame the crawl loop has already sealed in place.
+    pub(crate) fn from_sealed(round: u64, frame: Vec<u8>) -> CrawlCheckpoint {
+        CrawlCheckpoint { frame, round }
     }
 
     /// Verifies the frame and returns the payload (used on resume).
@@ -156,7 +188,8 @@ impl CrawlCheckpoint {
         Ok(ckpt)
     }
 
-    /// Content digest of the payload, for cheap state comparison.
+    /// Digest of the whole sealed frame (header, payload, and checksum),
+    /// for cheap state comparison.
     pub fn digest(&self) -> u64 {
         codec::digest(&self.frame)
     }
@@ -172,7 +205,8 @@ mod tests {
 
     #[test]
     fn corrupted_checkpoint_is_rejected() {
-        let ckpt = CrawlCheckpoint::seal(3, b"state bytes");
+        let frame = codec::seal(CHECKPOINT_TAG, CHECKPOINT_VERSION, b"state bytes");
+        let ckpt = CrawlCheckpoint::from_sealed(3, frame);
         assert_eq!(ckpt.round, 3);
         assert!(ckpt.payload().is_ok());
         let mut bytes = ckpt.as_bytes().to_vec();

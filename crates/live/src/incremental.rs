@@ -214,6 +214,13 @@ impl IncrementalFlow {
     /// order — the "retained `AggState` bytes" a watermark frame records.
     pub fn state_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.encode_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Appends [`IncrementalFlow::state_bytes`] to `w` without an
+    /// intermediate buffer.
+    pub fn encode_state(&self, w: &mut Writer) {
         w.usize(self.reduces.len());
         for reduce in &self.reduces {
             w.str(&reduce.sink);
@@ -224,16 +231,15 @@ impl IncrementalFlow {
                     w.usize(state.len());
                     for (key, st) in state {
                         w.str(key);
-                        st.encode(&mut w);
+                        st.encode(w);
                     }
                 }
                 Retained::Recompute(all) => {
                     w.u8(1);
-                    all.encode(&mut w);
+                    all.encode(w);
                 }
             }
         }
-        w.into_bytes()
     }
 
     /// Restores retained state captured by [`IncrementalFlow::state_bytes`]

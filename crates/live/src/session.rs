@@ -24,12 +24,15 @@ use websift_flow::{
 };
 use websift_observe::{Labels, Observer};
 use websift_pipeline::documents_to_records;
-use websift_resilience::CodecError;
-use websift_serve::{ExtractionStore, StoreSnapshot};
+use websift_resilience::codec::{self, Patch};
+use websift_resilience::{CodecError, Snapshot, Writer};
+use websift_serve::{write_snapshot_frame, ExtractionStore, StoreSnapshot};
 use websift_web::{SimulatedWeb, Url};
 
 use crate::incremental::IncrementalFlow;
-use crate::watermark::{LiveMetrics, Watermark, WatermarkParts};
+use crate::watermark::{
+    LiveMetrics, Watermark, WatermarkParts, WATERMARK_TAG, WATERMARK_VERSION,
+};
 use crate::LiveError;
 
 /// Knobs for a live session.
@@ -249,7 +252,7 @@ impl<'w> LiveSession<'w> {
         // inside the watermark snapshots the metrics registry, so a
         // resumed session restores counters *including* this round.
         self.emit_round(round_id, docs.len(), absorbed, crawl_secs_before, crawl_delta_secs, out.metrics.simulated_secs);
-        let watermark = self.seal_watermark(round_id)?;
+        let watermark = self.seal_watermark(round_id);
         self.round = round_id;
 
         Ok(Some(LiveRound {
@@ -298,19 +301,59 @@ impl<'w> LiveSession<'w> {
             .record(self.metrics.freshness_secs);
     }
 
-    fn seal_watermark(&self, round_id: u32) -> Result<Watermark, LiveError> {
-        let checkpoint = self.crawl.checkpoint();
-        let snapshot = StoreSnapshot::capture(&self.store);
-        Ok(Watermark::seal(&WatermarkParts {
-            rounds: round_id,
-            crawl_round: checkpoint.round,
-            frontier_digest: self.crawl.state_digest(),
-            crawl_frame: checkpoint.as_bytes().to_vec(),
-            agg_state: self.flow.state_bytes(),
-            store_frame: snapshot.as_bytes().to_vec(),
-            store_digest: self.store.content_digest(),
-            metrics: self.metrics.clone(),
-        }))
+    /// Seals this round's watermark in one pass. Crawl checkpoint,
+    /// retained state, store snapshot, and metrics are encoded once,
+    /// straight into the `WSWM` frame buffer, then a single
+    /// [`codec::hash_lanes`] sweep computes the five FNV-1a chains that
+    /// cover them and patches each result into its slot:
+    ///
+    /// | lane | covers | patched into |
+    /// |---|---|---|
+    /// | 0 | `WSWM` payload | outer checksum |
+    /// | 1 | `WSCK` payload | crawl checkpoint checksum |
+    /// | 2 | crawler state + report sections of the `WSCK` payload | frontier digest |
+    /// | 3 | `WSST` payload | store snapshot checksum |
+    /// | 4 | key count + posting lists of the `WSST` payload | store digest |
+    ///
+    /// Every slot lies after the ranges its lane covers and inside lane
+    /// 0's, so each is filled before the outer checksum reads it. The
+    /// bytes equal [`Watermark::seal`] over [`WatermarkParts`] built from
+    /// `CrawlSession::checkpoint`, `CrawlSession::state_digest`,
+    /// `StoreSnapshot::capture`, `ExtractionStore::content_digest`, and
+    /// `IncrementalFlow::state_bytes`.
+    fn seal_watermark(&self, round_id: u32) -> Watermark {
+        let mut w = Writer::new();
+        let (outer, (crawl, frontier_slot, store, store_digest_slot)) =
+            w.frame(WATERMARK_TAG, WATERMARK_VERSION, |w| {
+                w.u32(round_id);
+                w.u64(self.crawl.round());
+                let crawl = w.prefixed(|w| self.crawl.write_checkpoint_frame(w));
+                let frontier_slot = w.u64_slot();
+                w.prefixed(|w| self.flow.encode_state(w));
+                let store = w.prefixed(|w| write_snapshot_frame(&self.store, w));
+                let store_digest_slot = w.u64_slot();
+                self.metrics.encode(w);
+                (crawl, frontier_slot, store, store_digest_slot)
+            });
+        let mut frame = w.into_bytes();
+        codec::hash_lanes(
+            &mut frame,
+            &[
+                vec![outer.payload],
+                vec![crawl.span.payload],
+                crawl.state.ranges(),
+                vec![store.span.payload],
+                vec![store.content],
+            ],
+            &[
+                Patch { slot: outer.checksum, lane: 0 },
+                Patch { slot: crawl.span.checksum, lane: 1 },
+                Patch { slot: frontier_slot, lane: 2 },
+                Patch { slot: store.span.checksum, lane: 3 },
+                Patch { slot: store_digest_slot, lane: 4 },
+            ],
+        );
+        Watermark::from_sealed(frame)
     }
 
     /// The serving store, continuously fresh as rounds complete.

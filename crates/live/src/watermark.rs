@@ -14,7 +14,9 @@
 //!
 //! Frames embed the already-sealed sub-frames verbatim, so corruption
 //! anywhere is caught twice: once by the outer `WSWM` tag/version check
-//! and once when the inner frame is opened. Encoding is
+//! and once when the inner frame is opened. [`Watermark::seal`] composes
+//! the frame from separately sealed parts; a live session writes the
+//! same bytes in one pass instead (`LiveSession::advance`). Encoding is
 //! byte-deterministic (everything rides the checkpoint codec), so a
 //! session resumed from round k and an uninterrupted session agree on
 //! watermark bytes for every subsequent round — the property the replay
@@ -106,16 +108,7 @@ impl Snapshot for WatermarkParts {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<WatermarkParts, CodecError> {
-        Ok(WatermarkParts {
-            rounds: r.u32()?,
-            crawl_round: r.u64()?,
-            crawl_frame: r.bytes()?,
-            frontier_digest: r.u64()?,
-            agg_state: r.bytes()?,
-            store_frame: r.bytes()?,
-            store_digest: r.u64()?,
-            metrics: LiveMetrics::decode(r)?,
-        })
+        Ok(PartsView::read(r)?.to_parts())
     }
 }
 
@@ -123,6 +116,58 @@ impl Snapshot for WatermarkParts {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Watermark {
     frame: Vec<u8>,
+}
+
+/// [`WatermarkParts`] borrowed from a verified payload: the structural
+/// decode behind [`Watermark::from_bytes`] and [`Watermark::parts`],
+/// copying no sub-frame.
+struct PartsView<'a> {
+    rounds: u32,
+    crawl_round: u64,
+    crawl_frame: &'a [u8],
+    frontier_digest: u64,
+    agg_state: &'a [u8],
+    store_frame: &'a [u8],
+    store_digest: u64,
+    metrics: LiveMetrics,
+}
+
+impl<'a> PartsView<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<PartsView<'a>, CodecError> {
+        Ok(PartsView {
+            rounds: r.u32()?,
+            crawl_round: r.u64()?,
+            crawl_frame: r.bytes_ref()?,
+            frontier_digest: r.u64()?,
+            agg_state: r.bytes_ref()?,
+            store_frame: r.bytes_ref()?,
+            store_digest: r.u64()?,
+            metrics: LiveMetrics::decode(r)?,
+        })
+    }
+
+    /// Decodes a whole payload, rejecting trailing bytes.
+    fn decode(payload: &'a [u8]) -> Result<PartsView<'a>, CodecError> {
+        let mut r = Reader::new(payload);
+        let view = PartsView::read(&mut r)?;
+        if !r.is_empty() {
+            return Err(CodecError::Truncated { what: "trailing watermark bytes" });
+        }
+        Ok(view)
+    }
+
+    fn to_parts(&self) -> WatermarkParts {
+        WatermarkParts {
+            rounds: self.rounds,
+            crawl_round: self.crawl_round,
+            crawl_frame: self.crawl_frame.to_vec(),
+            frontier_digest: self.frontier_digest,
+            agg_state: self.agg_state.to_vec(),
+            store_frame: self.store_frame.to_vec(),
+            store_digest: self.store_digest,
+            metrics: self.metrics.clone(),
+        }
+    }
 }
 
 impl Watermark {
@@ -133,16 +178,21 @@ impl Watermark {
         Watermark { frame: codec::seal(WATERMARK_TAG, WATERMARK_VERSION, &w.into_bytes()) }
     }
 
+    /// Adopts a frame the live session sealed in place; the session's
+    /// byte-identity with [`Watermark::seal`] is what the facade oracle
+    /// test pins.
+    pub(crate) fn from_sealed(frame: Vec<u8>) -> Watermark {
+        Watermark { frame }
+    }
+
     /// Adopts sealed frame bytes, verifying tag, version, checksum, and
-    /// full payload decode up front so later [`Watermark::parts`] calls
-    /// cannot fail on a frame accepted here.
+    /// the payload's structure up front so later [`Watermark::parts`]
+    /// and [`Watermark::rounds`] calls cannot fail on a frame accepted
+    /// here. The embedded sub-frames are checked in place, not copied;
+    /// their own decoders run on resume.
     pub fn from_bytes(frame: Vec<u8>) -> Result<Watermark, CodecError> {
         let payload = codec::open(WATERMARK_TAG, WATERMARK_VERSION, &frame)?;
-        let mut r = Reader::new(payload);
-        WatermarkParts::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::Truncated { what: "trailing watermark bytes" });
-        }
+        PartsView::decode(payload)?;
         Ok(Watermark { frame })
     }
 
@@ -153,15 +203,24 @@ impl Watermark {
 
     /// Decodes the frame contents.
     pub fn parts(&self) -> WatermarkParts {
-        let payload = codec::open(WATERMARK_TAG, WATERMARK_VERSION, &self.frame)
-            .expect("verified at construction");
-        let mut r = Reader::new(payload);
-        WatermarkParts::decode(&mut r).expect("verified at construction")
+        self.view().to_parts()
     }
 
-    /// Completed rounds at seal time, without a full decode.
+    /// The payload, located by the frame's length prefix. Skips the
+    /// checksum: the frame was verified (or sealed) at construction.
+    fn payload(&self) -> &[u8] {
+        codec::split(&self.frame).expect("verified at construction").payload
+    }
+
+    /// The payload's structure, borrowed.
+    fn view(&self) -> PartsView<'_> {
+        PartsView::decode(self.payload()).expect("verified at construction")
+    }
+
+    /// Completed rounds at seal time, without a full decode: the `u32`
+    /// that opens the payload.
     pub fn rounds(&self) -> u32 {
-        self.parts().rounds
+        Reader::new(self.payload()).u32().expect("verified at construction")
     }
 
     /// Digest over the sealed frame bytes.
@@ -218,6 +277,21 @@ mod tests {
     }
 
     #[test]
+    fn rounds_reads_the_leading_payload_field() {
+        for rounds in [0, 1, 0x0102_0304, u32::MAX] {
+            let mut parts = sample_parts();
+            parts.rounds = rounds;
+            parts.crawl_round = u64::MAX;
+            parts.crawl_frame = vec![0xFF; 300];
+            let sealed = Watermark::seal(&parts);
+            assert_eq!(sealed.rounds(), rounds);
+            assert_eq!(sealed.parts().rounds, rounds);
+            let reopened = Watermark::from_bytes(sealed.as_bytes().to_vec()).unwrap();
+            assert_eq!(reopened.rounds(), rounds);
+        }
+    }
+
+    #[test]
     fn sealing_is_deterministic() {
         let a = Watermark::seal(&sample_parts());
         let b = Watermark::seal(&sample_parts());
@@ -247,6 +321,17 @@ mod tests {
         let sealed = Watermark::seal(&sample_parts());
         let bytes = sealed.as_bytes();
         assert!(Watermark::from_bytes(bytes[..bytes.len() - 1].to_vec()).is_err());
+    }
+
+    #[test]
+    fn bytes_after_the_checksum_do_not_reach_the_payload() {
+        let sealed = Watermark::seal(&sample_parts());
+        let mut bytes = sealed.as_bytes().to_vec();
+        bytes.extend_from_slice(&[0, 0xFF, 7]);
+        let padded = Watermark::from_bytes(bytes).unwrap();
+        assert_eq!(padded.rounds(), 3);
+        assert_eq!(padded.parts().crawl_frame, sealed.parts().crawl_frame);
+        assert_eq!(padded.parts().metrics, sample_parts().metrics);
     }
 
     #[test]

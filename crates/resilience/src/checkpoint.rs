@@ -157,9 +157,10 @@ where
     V: Snapshot,
 {
     fn encode(&self, w: &mut Writer) {
-        // sorted by key so equal maps encode to equal bytes
+        // sorted by key so equal maps encode to equal bytes; keys are
+        // distinct, so an unstable sort yields the same order
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         w.usize(entries.len());
         for (k, v) in entries {
             k.encode(w);
@@ -188,7 +189,7 @@ where
 {
     fn encode(&self, w: &mut Writer) {
         let mut items: Vec<&T> = self.iter().collect();
-        items.sort();
+        items.sort_unstable();
         w.usize(items.len());
         for item in items {
             item.encode(w);

@@ -11,9 +11,13 @@
 //! - length-prefixed strings and byte blobs;
 //! - a sealed-frame layer ([`seal`] / [`open`]) adding a magic tag, a
 //!   version byte, and an FNV-1a checksum so truncated or corrupted
-//!   checkpoint files fail loudly instead of resuming from garbage.
+//!   checkpoint files fail loudly instead of resuming from garbage;
+//! - in-place framing ([`Writer::frame`], [`Writer::prefixed`]) and a
+//!   multi-lane FNV-1a pass ([`hash_lanes`]) that fills every checksum
+//!   and digest slot of nested frames in one sweep over their bytes.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Errors surfaced when decoding a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,6 +124,45 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
+    /// Writes eight zero bytes and returns their offset: a `u64` slot
+    /// that [`hash_lanes`] fills in later (see [`Patch`]).
+    pub fn u64_slot(&mut self) -> usize {
+        let slot = self.buf.len();
+        self.u64(0);
+        slot
+    }
+
+    /// Writes a length-prefixed blob that `body` encodes straight into
+    /// this writer: the same bytes as [`Writer::bytes`] over a blob
+    /// encoded on its own, without the intermediate buffer.
+    pub fn prefixed<T>(&mut self, body: impl FnOnce(&mut Writer) -> T) -> T {
+        let slot = self.u64_slot();
+        let out = body(self);
+        let len = (self.buf.len() - slot - 8) as u64;
+        self.buf[slot..slot + 8].copy_from_slice(&len.to_le_bytes());
+        out
+    }
+
+    /// Writes a [`seal`]-format frame whose payload `body` encodes in
+    /// place. The checksum slot is left zeroed; pass the returned span's
+    /// payload as a lane and its checksum slot as a [`Patch`] to
+    /// [`hash_lanes`] to seal it. Once sealed, the bytes equal
+    /// `seal(tag, version, payload)`.
+    pub fn frame<T>(
+        &mut self,
+        tag: [u8; 4],
+        version: u16,
+        body: impl FnOnce(&mut Writer) -> T,
+    ) -> (FrameSpan, T) {
+        self.buf.extend_from_slice(&tag);
+        self.u16(version);
+        let start = self.buf.len() + 8;
+        let out = self.prefixed(body);
+        let payload = start..self.buf.len();
+        let checksum = self.u64_slot();
+        (FrameSpan { payload, checksum }, out)
+    }
+
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -193,8 +236,13 @@ impl<'a> Reader<'a> {
     }
 
     pub fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+        Ok(self.bytes_ref()?.to_vec())
+    }
+
+    /// A length-prefixed blob, borrowed from the input instead of copied.
+    pub fn bytes_ref(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.usize()?;
-        Ok(self.take(len, "bytes")?.to_vec())
+        self.take(len, "bytes")
     }
 
     /// True once every byte has been consumed.
@@ -207,11 +255,148 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// Advances `K` independent FNV-1a chains over the same bytes. Each
+/// chain is a serial xor–multiply dependency, so the loop runs at the
+/// multiplier's latency; the chains interleave in the pipeline and two
+/// to four cost about what one does.
+#[inline(always)]
+fn fnv_run<const K: usize>(h: &mut [u64; K], bytes: &[u8]) {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+        let b = u64::from(b);
+        for lane in h.iter_mut() {
+            *lane = (*lane ^ b).wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = [FNV_OFFSET];
+    fnv_run(&mut h, bytes);
+    h[0]
+}
+
+/// Runs the chains `active` (indices into `h`) over `bytes`, four at a
+/// time.
+fn fnv_lanes(h: &mut [u64], active: &[usize], bytes: &[u8]) {
+    fn group<const K: usize>(h: &mut [u64], idx: &[usize], bytes: &[u8]) {
+        let mut s = [0u64; K];
+        for (slot, &i) in s.iter_mut().zip(idx) {
+            *slot = h[i];
+        }
+        fnv_run(&mut s, bytes);
+        for (&v, &i) in s.iter().zip(idx) {
+            h[i] = v;
+        }
+    }
+    for idx in active.chunks(4) {
+        match idx.len() {
+            1 => group::<1>(h, idx, bytes),
+            2 => group::<2>(h, idx, bytes),
+            3 => group::<3>(h, idx, bytes),
+            _ => group::<4>(h, idx, bytes),
+        }
+    }
+}
+
+/// Where [`Writer::frame`] put a frame's payload and its checksum slot,
+/// as offsets into the writer's bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameSpan {
+    /// The payload bytes the checksum covers.
+    pub payload: Range<usize>,
+    /// Offset of the frame's 8-byte checksum slot.
+    pub checksum: usize,
+}
+
+/// An 8-byte slot of the buffer that [`hash_lanes`] fills with the
+/// finished digest of `lane` (little-endian) — a frame checksum or a
+/// recorded digest. Every range of the lane must end at or before the
+/// slot, so the digest is final when the pass reaches it; lanes that
+/// cover the slot then hash the filled-in bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Patch {
+    pub slot: usize,
+    pub lane: usize,
+}
+
+/// One pass over `buf` that computes `N` FNV-1a digests at once. Lane
+/// `i` hashes the ascending, non-overlapping byte ranges `lanes[i]` as
+/// if they were one concatenated string, so its result equals
+/// [`digest`] over that concatenation. Each [`Patch`] slot is written
+/// as the pass reaches it, before any lane reads those bytes. This is
+/// how nested frames are sealed without re-reading them: an inner
+/// frame's checksum is patched in before the outer frame's lane hashes
+/// past it.
+///
+/// # Panics
+///
+/// When a range or slot lies outside `buf`, a lane's ranges are
+/// unordered or overlap, slots overlap, a patch names a missing lane,
+/// or a patched lane has a range ending after its slot — all caller
+/// bugs, not input errors.
+pub fn hash_lanes<const N: usize>(
+    buf: &mut [u8],
+    lanes: &[Vec<Range<usize>>; N],
+    patches: &[Patch],
+) -> [u64; N] {
+    for ranges in lanes {
+        let mut end = 0;
+        for r in ranges {
+            assert!(end <= r.start && r.start <= r.end && r.end <= buf.len(), "bad lane range {r:?}");
+            end = r.end;
+        }
+    }
+    let mut patches = patches.to_vec();
+    patches.sort_unstable_by_key(|p| p.slot);
+    let mut slot_end = 0;
+    for p in &patches {
+        let fits = p.slot.checked_add(8).is_some_and(|end| end <= buf.len());
+        assert!(p.slot >= slot_end && fits, "bad patch slot {}", p.slot);
+        let ranges = &lanes[p.lane];
+        assert!(
+            ranges.last().is_none_or(|r| r.end <= p.slot),
+            "lane {} still runs at its patch slot {}",
+            p.lane,
+            p.slot
+        );
+        slot_end = p.slot + 8;
+    }
+
+    // Cut the buffer wherever a lane starts or stops or a slot begins;
+    // between two cuts the set of active lanes is fixed.
+    let mut cuts: Vec<usize> = lanes
+        .iter()
+        .flatten()
+        .flat_map(|r| [r.start, r.end])
+        .chain(patches.iter().map(|p| p.slot))
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+
+    let mut h = [FNV_OFFSET; N];
+    let mut next_range = [0usize; N];
+    let mut pending = patches.iter().peekable();
+    let mut active = [0usize; N];
+    for (i, &at) in cuts.iter().enumerate() {
+        while let Some(p) = pending.next_if(|p| p.slot == at) {
+            buf[p.slot..p.slot + 8].copy_from_slice(&h[p.lane].to_le_bytes());
+        }
+        let Some(&to) = cuts.get(i + 1) else { break };
+        let mut n = 0;
+        for (lane, ranges) in lanes.iter().enumerate() {
+            let next = &mut next_range[lane];
+            while ranges.get(*next).is_some_and(|r| r.end <= at) {
+                *next += 1;
+            }
+            if ranges.get(*next).is_some_and(|r| r.start <= at) {
+                active[n] = lane;
+                n += 1;
+            }
+        }
+        fnv_lanes(&mut h, &active[..n], &buf[at..to]);
     }
     h
 }
@@ -228,25 +413,45 @@ pub fn seal(tag: [u8; 4], version: u16, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Verifies a [`seal`]ed frame and returns the payload slice.
-pub fn open(tag: [u8; 4], version: u16, frame: &[u8]) -> Result<&[u8], CodecError> {
+/// The fields of a [`seal`]ed frame, borrowed from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sealed<'a> {
+    pub tag: [u8; 4],
+    pub version: u16,
+    /// The payload, as long as the frame's length prefix says.
+    pub payload: &'a [u8],
+    /// The stored checksum, as read (not verified).
+    pub checksum: u64,
+}
+
+/// Splits a [`seal`]ed frame into its fields without checking tag,
+/// version or checksum; bytes after the checksum are ignored. For
+/// frames verified by [`open`] earlier, and for tools that re-frame a
+/// payload.
+pub fn split(frame: &[u8]) -> Result<Sealed<'_>, CodecError> {
     let mut r = Reader::new(frame);
-    let found_tag: [u8; 4] = r.take(4, "frame tag")?.try_into().unwrap();
-    if found_tag != tag {
-        return Err(CodecError::BadMagic { expected: tag, found: found_tag });
-    }
-    let found_version = r.u16()?;
-    if found_version != version {
-        return Err(CodecError::BadVersion { expected: version, found: found_version });
-    }
+    let tag: [u8; 4] = r.take(4, "frame tag")?.try_into().unwrap();
+    let version = r.u16()?;
     let len = r.usize()?;
     let payload = r.take(len, "frame payload")?;
-    let stored = r.u64()?;
-    let computed = fnv1a(payload);
-    if stored != computed {
-        return Err(CodecError::BadChecksum { expected: stored, found: computed });
+    let checksum = r.u64()?;
+    Ok(Sealed { tag, version, payload, checksum })
+}
+
+/// Verifies a [`seal`]ed frame and returns the payload slice.
+pub fn open(tag: [u8; 4], version: u16, frame: &[u8]) -> Result<&[u8], CodecError> {
+    let sealed = split(frame)?;
+    if sealed.tag != tag {
+        return Err(CodecError::BadMagic { expected: tag, found: sealed.tag });
     }
-    Ok(payload)
+    if sealed.version != version {
+        return Err(CodecError::BadVersion { expected: version, found: sealed.version });
+    }
+    let computed = fnv1a(sealed.payload);
+    if sealed.checksum != computed {
+        return Err(CodecError::BadChecksum { expected: sealed.checksum, found: computed });
+    }
+    Ok(sealed.payload)
 }
 
 /// Content digest of a byte string — used to compare checkpoint/state
@@ -323,5 +528,81 @@ mod tests {
             open(*b"WSCP", 1, &frame[..frame.len() - 2]),
             Err(CodecError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn split_reads_the_length_prefix_not_the_frame_end() {
+        let frame = seal(*b"WSCP", 3, b"payload");
+        let mut padded = frame.clone();
+        padded.extend_from_slice(&[0xAB; 5]);
+        let sealed = split(&padded).unwrap();
+        assert_eq!(sealed, split(&frame).unwrap());
+        assert_eq!((sealed.tag, sealed.version, sealed.payload), (*b"WSCP", 3, &b"payload"[..]));
+        assert_eq!(sealed.checksum, digest(b"payload"));
+        assert!(split(&frame[..frame.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn in_place_frames_seal_to_the_same_bytes() {
+        let mut inner = Writer::new();
+        inner.str("inner payload");
+        inner.u64(7);
+        let inner_frame = seal(*b"INNR", 3, &inner.into_bytes());
+        let mut outer = Writer::new();
+        outer.u32(9);
+        outer.bytes(&inner_frame);
+        outer.u64(digest(split(&inner_frame).unwrap().payload));
+        let expected = seal(*b"OUTR", 1, &outer.into_bytes());
+
+        let mut w = Writer::new();
+        let (outer_span, (inner_span, slot)) = w.frame(*b"OUTR", 1, |w| {
+            w.u32(9);
+            let (span, ()) = w.prefixed(|w| {
+                w.frame(*b"INNR", 3, |w| {
+                    w.str("inner payload");
+                    w.u64(7);
+                })
+            });
+            (span, w.u64_slot())
+        });
+        let mut buf = w.into_bytes();
+        let [outer_sum, inner_sum, inner_digest] = hash_lanes(
+            &mut buf,
+            &[
+                vec![outer_span.payload.clone()],
+                vec![inner_span.payload.clone()],
+                vec![inner_span.payload.clone()],
+            ],
+            &[
+                Patch { slot: outer_span.checksum, lane: 0 },
+                Patch { slot: inner_span.checksum, lane: 1 },
+                Patch { slot, lane: 2 },
+            ],
+        );
+        assert_eq!(buf, expected);
+        assert_eq!(inner_sum, inner_digest);
+        assert_eq!(outer_sum, digest(&buf[outer_span.payload]));
+        assert!(open(*b"OUTR", 1, &buf).is_ok());
+    }
+
+    #[test]
+    fn a_lane_over_split_ranges_hashes_their_concatenation() {
+        let mut buf: Vec<u8> = (0..=255u8).cycle().take(1_000).collect();
+        let joined: Vec<u8> = [&buf[10..300], &buf[300..301], &buf[700..990]].concat();
+        let [split, whole] = hash_lanes(
+            &mut buf,
+            &[vec![10..300, 300..301, 301..301, 700..990], std::iter::once(0..1_000).collect()],
+            &[],
+        );
+        assert_eq!(split, digest(&joined));
+        assert_eq!(whole, digest(&buf));
+    }
+
+    #[test]
+    #[should_panic(expected = "still runs at its patch slot")]
+    fn patching_a_lane_before_it_ends_is_a_caller_bug() {
+        let mut buf = vec![0u8; 32];
+        let lane = std::iter::once(0..20).collect();
+        hash_lanes(&mut buf, &[lane], &[Patch { slot: 8, lane: 0 }]);
     }
 }

@@ -45,5 +45,7 @@ pub use admission::{AdmissionController, QueryPermit};
 pub use check::{check_query, StoreSchema};
 pub use engine::{QueryEngine, QueryResponse};
 pub use query::{parse_query, Query, QueryError};
-pub use snapshot::{StoreSnapshot, STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION};
+pub use snapshot::{
+    write_snapshot_frame, SnapshotFrame, StoreSnapshot, STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION,
+};
 pub use store::{shard_for, ExtractionStore, Method, Posting, PostingKey, ENTITY_DATASET};

@@ -9,9 +9,10 @@
 //! original would have: kill-and-resume mid-ingest is byte-identical to
 //! an uninterrupted run.
 
-use websift_resilience::{
-    codec, CodecError, Reader, Snapshot, Writer,
-};
+use std::ops::Range;
+
+use websift_resilience::codec::{self, FrameSpan, Patch};
+use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 
 use crate::store::{ExtractionStore, Method, Posting, PostingKey};
 
@@ -19,6 +20,11 @@ use crate::store::{ExtractionStore, Method, Posting, PostingKey};
 pub const STORE_SNAPSHOT_TAG: [u8; 4] = *b"WSST";
 /// Current frame version.
 pub const STORE_SNAPSHOT_VERSION: u16 = 1;
+
+/// Largest shard count a snapshot may declare. Restoring allocates every
+/// shard up front, so a corrupted count must fail as a codec error, not
+/// as an allocation of billions of empty shards.
+const MAX_SHARDS: usize = 1 << 16;
 
 impl Snapshot for Method {
     fn encode(&self, w: &mut Writer) {
@@ -75,15 +81,24 @@ impl Snapshot for Posting {
     }
 }
 
-/// Encodes the store's logical content and configuration. Posting lists
-/// go out in global key order ([`ExtractionStore::iter`]), so the bytes
-/// are independent of ingest interleaving across shards.
-fn encode_store(store: &ExtractionStore, w: &mut Writer) {
+/// Encodes the store's configuration and logical content, returning
+/// where the content went. Posting lists go out in global key order
+/// ([`ExtractionStore::iter`]), so the bytes are independent of ingest
+/// interleaving across shards.
+fn encode_store(store: &ExtractionStore, w: &mut Writer) -> Range<usize> {
     w.str(store.name());
     w.usize(store.shard_count());
     w.u32(store.round());
     w.u64(store.ingested_records());
     w.u64(store.ignored_records());
+    let start = w.len();
+    encode_content(store, w);
+    start..w.len()
+}
+
+/// The key count and every posting list: the suffix of a snapshot
+/// payload that [`ExtractionStore::content_digest`] covers.
+fn encode_content(store: &ExtractionStore, w: &mut Writer) {
     w.usize(store.key_count());
     for (key, postings) in store.iter() {
         key.encode(w);
@@ -96,6 +111,9 @@ fn decode_store(r: &mut Reader<'_>) -> Result<ExtractionStore, CodecError> {
     let shards = r.usize()?;
     if shards == 0 {
         return Err(CodecError::BadTag { what: "shard count", tag: 0 });
+    }
+    if shards > MAX_SHARDS {
+        return Err(CodecError::Oversize { what: "shard count", value: shards as u64 });
     }
     let round = r.u32()?;
     let ingested = r.u64()?;
@@ -120,12 +138,29 @@ fn decode_store(r: &mut Reader<'_>) -> Result<ExtractionStore, CodecError> {
 /// which is the invariant that lets the bench compare shard counts.
 pub(crate) fn content_digest(store: &ExtractionStore) -> u64 {
     let mut w = Writer::new();
-    w.usize(store.key_count());
-    for (key, postings) in store.iter() {
-        key.encode(&mut w);
-        postings.encode(&mut w);
-    }
+    encode_content(store, &mut w);
     codec::digest(&w.into_bytes())
+}
+
+/// A `WSST` frame written in place by [`write_snapshot_frame`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotFrame {
+    /// The frame's payload and (unfilled) checksum slot.
+    pub span: FrameSpan,
+    /// The payload suffix whose digest is
+    /// [`ExtractionStore::content_digest`].
+    pub content: Range<usize>,
+}
+
+/// Encodes `store` once, as a sealed-format `WSST` frame straight into
+/// `w`, checksum slot unfilled. One [`codec::hash_lanes`] pass over the
+/// returned ranges yields both the frame checksum and the content
+/// digest — what the live watermark seal does instead of a separate
+/// [`StoreSnapshot::capture`] and [`ExtractionStore::content_digest`].
+pub fn write_snapshot_frame(store: &ExtractionStore, w: &mut Writer) -> SnapshotFrame {
+    let (span, content) =
+        w.frame(STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION, |w| encode_store(store, w));
+    SnapshotFrame { span, content }
 }
 
 /// A verified, sealed store snapshot frame.
@@ -138,10 +173,14 @@ impl StoreSnapshot {
     /// Captures `store` into a sealed frame.
     pub fn capture(store: &ExtractionStore) -> StoreSnapshot {
         let mut w = Writer::new();
-        encode_store(store, &mut w);
-        StoreSnapshot {
-            frame: codec::seal(STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION, &w.into_bytes()),
-        }
+        let written = write_snapshot_frame(store, &mut w);
+        let mut frame = w.into_bytes();
+        codec::hash_lanes(
+            &mut frame,
+            &[vec![written.span.payload]],
+            &[Patch { slot: written.span.checksum, lane: 0 }],
+        );
+        StoreSnapshot { frame }
     }
 
     /// Wraps bytes read back from storage, verifying tag, version, and
@@ -240,5 +279,39 @@ mod tests {
             StoreSnapshot::capture(&sample_store(1)),
             StoreSnapshot::capture(&sample_store(16))
         );
+    }
+
+    #[test]
+    fn one_pass_over_the_written_frame_gives_capture_and_content_digest() {
+        let store = sample_store(4);
+        let mut w = Writer::new();
+        w.u8(0xAA); // the frame need not start the buffer
+        let written = write_snapshot_frame(&store, &mut w);
+        let mut bytes = w.into_bytes();
+        let [checksum, content] = codec::hash_lanes(
+            &mut bytes,
+            &[vec![written.span.payload.clone()], vec![written.content.clone()]],
+            &[Patch { slot: written.span.checksum, lane: 0 }],
+        );
+        assert_eq!(&bytes[1..], StoreSnapshot::capture(&store).as_bytes());
+        assert_eq!(content, store.content_digest());
+        assert_eq!(checksum, codec::digest(&bytes[written.span.payload]));
+    }
+
+    #[test]
+    fn a_huge_shard_count_is_a_codec_error_not_an_allocation() {
+        let mut w = Writer::new();
+        w.str("serve");
+        w.u64(0x0d68_0000_0000_0000);
+        w.u32(0);
+        w.u64(0);
+        w.u64(0);
+        w.usize(0);
+        let frame = codec::seal(STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION, &w.into_bytes());
+        let snapshot = StoreSnapshot::from_bytes(&frame).unwrap();
+        assert!(matches!(
+            snapshot.restore(),
+            Err(CodecError::Oversize { what: "shard count", .. })
+        ));
     }
 }

@@ -9,18 +9,28 @@
 //! - retained reduce output: incremental fold ≡ batch Reduce over the
 //!   cumulative corpus, across DoP;
 //! - watermark frames, metrics, trace JSONL: kill + resume ≡
-//!   uninterrupted, including under injected crawl faults.
+//!   uninterrupted, including under injected crawl faults;
+//! - watermark bytes: the session's one-pass seal ≡ `Watermark::seal`
+//!   over the separately sealed public parts, on every round, and the
+//!   final frame of a fixed session ≡ a recorded digest;
+//! - decoders: no truncation or byte flip of a real watermark (or of its
+//!   crawl-checkpoint and store-snapshot sub-frames) panics.
 
 use std::sync::Arc;
 
 use websift::corpus::{CorpusKind, Document, LexiconScale};
-use websift::crawler::{train_focus_classifier, CrawlConfig, ResilienceOptions};
+use websift::crawler::{
+    train_focus_classifier, CrawlCheckpoint, CrawlConfig, CrawlSession, ResilienceOptions,
+};
 use websift::flow::{IeResources, LogicalPlan, Operator, Package, Record};
-use websift::live::{IncrementalFlow, LiveError, LiveOptions, LiveSession, Watermark};
+use websift::live::{
+    IncrementalFlow, LiveError, LiveOptions, LiveSession, Watermark, WatermarkParts,
+};
 use websift::ner::EntityType;
 use websift::observe::Observer;
 use websift::pipeline::{documents_to_records, live_extraction_flow, run_over_documents_into};
-use websift::serve::{parse_query, ExtractionStore, QueryEngine};
+use websift::resilience::codec;
+use websift::serve::{parse_query, ExtractionStore, QueryEngine, StoreSnapshot};
 use websift::web::{PageId, SimulatedWeb, Url, WebGraph, WebGraphConfig};
 
 fn tiny_web() -> SimulatedWeb {
@@ -403,4 +413,193 @@ fn incremental_flow_handles_combinable_reduces_exactly() {
     let mut restored = IncrementalFlow::compile(&plan, false).expect("compiles");
     restored.restore_state(&whole.state_bytes()).expect("restores");
     assert_eq!(restored.state_bytes(), whole.state_bytes());
+}
+
+/// The watermark composed from the public parts, each sealed and
+/// digested on its own — the bytes the session's one-pass seal must
+/// reproduce.
+fn composed_watermark(session: &LiveSession<'_>, round: u32) -> Watermark {
+    let crawl = session.crawl();
+    let checkpoint = crawl.checkpoint();
+    Watermark::seal(&WatermarkParts {
+        rounds: round,
+        crawl_round: checkpoint.round,
+        frontier_digest: crawl.state_digest(),
+        crawl_frame: checkpoint.as_bytes().to_vec(),
+        agg_state: session.state_bytes(),
+        store_frame: StoreSnapshot::capture(session.store()).as_bytes().to_vec(),
+        store_digest: session.store().content_digest(),
+        metrics: session.metrics().clone(),
+    })
+}
+
+#[test]
+fn one_pass_seal_matches_the_composed_api_on_every_round() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let cases = [
+        ResilienceOptions::default(),
+        ResilienceOptions::injected(0x11, 0.05, 2),
+        ResilienceOptions::injected(0x77, 0.05, 2),
+    ];
+    for options in &cases {
+        for dop in [1usize, 2] {
+            let mut session = start_session(&web, &plan, options, dop);
+            let mut rounds = 0;
+            while let Some(round) = session.advance().expect("round advances") {
+                let composed = composed_watermark(&session, round.round);
+                assert!(
+                    round.watermark.as_bytes() == composed.as_bytes(),
+                    "round {} at DoP {dop} ({:?}): one-pass watermark differs from the composed one",
+                    round.round,
+                    options.faults
+                );
+                assert_eq!(round.watermark.rounds(), round.round);
+                rounds += 1;
+            }
+            assert!(rounds >= 2, "crawl ended after {rounds} rounds; need several");
+        }
+    }
+}
+
+/// Final-round watermark digests of fixed tiny sessions, recorded while
+/// watermarks were still sealed through `Watermark::seal` over separately
+/// sealed parts. The frame embeds simulated delta-pass costs, which
+/// depend on DoP, so each DoP has its own digest.
+const FINAL_WATERMARK_DIGESTS: [(Option<u64>, usize, u64); 3] = [
+    (None, 1, 3007387756314894174),
+    (None, 2, 8890480259865443351),
+    (Some(0x77), 2, 11783785296734870635),
+];
+
+#[test]
+fn final_watermarks_match_the_recorded_digests() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    for (fault_seed, dop, expected) in FINAL_WATERMARK_DIGESTS {
+        let options = match fault_seed {
+            None => ResilienceOptions::default(),
+            Some(seed) => ResilienceOptions::injected(seed, 0.05, 2),
+        };
+        let mut session = start_session(&web, &plan, &options, dop);
+        let mut last = None;
+        while let Some(round) = session.advance().expect("round advances") {
+            last = Some(round.watermark);
+        }
+        let last = last.expect("at least one round");
+        assert_eq!(last.digest(), expected, "fault seed {fault_seed:?}, DoP {dop}");
+    }
+}
+
+/// Every strict prefix of `frame`, the whole frame followed by extra
+/// bytes, then `flips` seeded single-byte flips, each handed to
+/// `decode`. Raw prefixes and flips must be rejected (the checksum or
+/// the length check catches them); padded frames may decode. Re-sealed inputs — the
+/// payload truncated or flipped, then framed again with a valid
+/// checksum — reach the inner decoder: truncations must still be
+/// rejected, flips may decode, and nothing may panic.
+fn assert_decoder_robust(
+    what: &str,
+    frame: &[u8],
+    prefix_stride: usize,
+    flips: usize,
+    decode: &dyn Fn(Vec<u8>) -> Result<(), String>,
+) {
+    let codec::Sealed { tag, version, payload, .. } = codec::split(frame).expect("sealed frame");
+    let run = |input: Vec<u8>, case: &str| -> Result<(), String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(input)))
+            .unwrap_or_else(|_| panic!("{what}: decoder panicked on {case}"))
+    };
+    for len in 0..frame.len() {
+        assert!(run(frame[..len].to_vec(), &format!("raw prefix {len}")).is_err());
+    }
+    for extra in [1, 8, 9] {
+        let mut padded = frame.to_vec();
+        padded.resize(frame.len() + extra, 0xA5);
+        let _ = run(padded, &format!("{extra} bytes after the checksum"));
+    }
+    for len in (0..payload.len()).step_by(prefix_stride) {
+        let resealed = codec::seal(tag, version, &payload[..len]);
+        let result = run(resealed, &format!("re-sealed payload prefix {len}"));
+        assert!(result.is_err(), "{what}: re-sealed payload prefix {len} decoded");
+    }
+    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ codec::digest(what.as_bytes());
+    for _ in 0..flips {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let at = (state >> 33) as usize;
+        let mask = ((state >> 8) as u8).max(1);
+        let mut raw = frame.to_vec();
+        let i = at % raw.len();
+        raw[i] ^= mask;
+        assert!(run(raw, &format!("raw flip {mask:#04x} at {i}")).is_err());
+        let mut flipped = payload.to_vec();
+        let j = at % flipped.len();
+        flipped[j] ^= mask;
+        let _ = run(
+            codec::seal(tag, version, &flipped),
+            &format!("re-sealed flip {mask:#04x} at payload byte {j}"),
+        );
+    }
+}
+
+#[test]
+fn watermark_decoders_reject_truncation_and_corruption_without_panicking() {
+    // A small crawl keeps the real frame short enough to try every
+    // prefix through every decoder.
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let config = CrawlConfig { max_pages: 3, fetch_list_total: 3, threads: 2, ..CrawlConfig::default() };
+    let options = ResilienceOptions::default();
+    let mut session = LiveSession::start(
+        &web,
+        train_focus_classifier(4, 2.0, 4),
+        config,
+        seeds_for(&web).into_iter().take(3).collect(),
+        &options,
+        &plan,
+        ExtractionStore::new(STORE, 4),
+        LiveOptions { dop: 1, ..LiveOptions::default() },
+        Arc::new(Observer::new()),
+    )
+    .expect("live session starts");
+    let watermark = session.advance().expect("round advances").expect("a round").watermark;
+    let parts = watermark.parts();
+    let resume = |watermark: &Watermark| {
+        LiveSession::resume_from(
+            &web,
+            config,
+            &options,
+            &plan,
+            LiveOptions { dop: 1, ..LiveOptions::default() },
+            Arc::new(Observer::new()),
+            watermark,
+        )
+        .map(drop)
+        .map_err(|e| e.to_string())
+    };
+
+    // The length prefix, not the end of the buffer, bounds the frame:
+    // bytes after the checksum are ignored, as the inner frames' decoders
+    // ignore them too.
+    let mut padded = watermark.as_bytes().to_vec();
+    padded.extend_from_slice(&[0, 0xFF, 0x5A, 1, 2, 3, 4, 5, 6]);
+    let padded = Watermark::from_bytes(padded).expect("padded frame opens");
+    assert_eq!(padded.rounds(), watermark.rounds());
+    assert_eq!(padded.parts().crawl_frame, parts.crawl_frame);
+    resume(&padded).expect("padded watermark resumes");
+
+    assert_decoder_robust("watermark", watermark.as_bytes(), 61, 400, &|bytes| {
+        resume(&Watermark::from_bytes(bytes).map_err(|e| e.to_string())?)
+    });
+    assert_decoder_robust("crawl checkpoint", &parts.crawl_frame, 47, 400, &|bytes| {
+        let checkpoint =
+            CrawlCheckpoint::from_bytes(parts.crawl_round, bytes).map_err(|e| e.to_string())?;
+        CrawlSession::resume(&web, &checkpoint, config, &options, None, Arc::new(Observer::new()))
+            .map(drop)
+            .map_err(|e| e.to_string())
+    });
+    assert_decoder_robust("store snapshot", &parts.store_frame, 1, 400, &|bytes| {
+        let snapshot = StoreSnapshot::from_bytes(&bytes).map_err(|e| e.to_string())?;
+        snapshot.restore().map(drop).map_err(|e| e.to_string())
+    });
 }
